@@ -28,7 +28,7 @@ from .derive import (
     search_s3_slice,
     solve_B,
 )
-from .exact import rat_normalize, rat_str
+from .exact import rat_str
 from .harness import ConvergenceReport, converge, emit_csv, emit_plot_script, fit_slope
 from .integrate import (
     Problem,
@@ -75,7 +75,6 @@ __all__ = [
     "make_vdp",
     "measure_lte",
     "problem",
-    "rat_normalize",
     "rat_str",
     "residual_table",
     "residual_vector",

@@ -183,21 +183,20 @@ def cmd_search(args) -> int:
     lo, hi = args.range
     if args.s == 2:
         c_in, c_out = _abscissae(args, 2)
-        roots = derive.search_s2(c_in, c_out, (lo, hi), args.samples)
+        roots = derive.search_s2(c_in, c_out, (lo, hi))
     else:
         if args.fix is None:
             raise ValueError("--fix index=value is required for --s 3")
         idx, val = args.fix
         c_in, c_out = _abscissae(args, 3)
-        roots = derive.search_s3_slice(idx, val, (lo, hi), args.samples, c_in, c_out)
+        roots = derive.search_s3_slice(idx, val, (lo, hi), c_in, c_out)
     if not roots:
         print("no roots in range")
         return 0
     for i, root in enumerate(roots):
-        kind = "exact" if root.exact else "bisected"
         result = derive.derive_scheme(root.a, c_in, c_out)
         print(
-            f"root {i}: param={rat_str(root.param)} ({float(root.param):.17g}, {kind}), "
+            f"root {i}: param={rat_str(root.param)} ({float(root.param):.17g}, exact), "
             f"a={_vec_str(root.a)}, q={result.achieved_order}, "
             f"eis_residual={rat_str(result.eis_residual)}"
         )
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s", type=int, choices=(2, 3), default=2)
     q.add_argument("--range", type=_range_pair, default=(Fraction(-2), Fraction(2)),
                    metavar="LO:HI", help="slice parameter range (default -2:2)")
-    q.add_argument("--samples", type=int, default=33)
     q.add_argument("--fix", type=_fix_pair, metavar="K=V",
                    help="s=3 only: pin component K of a to value V")
     q.add_argument("--cin", type=_rat_list)

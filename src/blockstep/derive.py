@@ -6,20 +6,19 @@ b_i of B solves the transposed Vandermonde system
 
     sum_j b_ij c_in[j]^(p-1)  =  (c_out[i]^p - a^T c_in^p) / p ,   p = 1..s.
 
-What remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0, a scalar
-polynomial equation over the (s-1)-parameter family of admissible a.  The
-searches here walk 1-D slices of that family.  On any slice preserving
-a^T 1 = 1 the constraint is actually affine in the slice parameter (every
-would-be quadratic contribution carries a factor sum(a) = 1 that freezes one
-power), so real searches land in the linear branch below; the quadratic and
-bisection branches still cover general fitted polynomials.
+What remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
+(s-1)-parameter family of admissible a.  That constraint is affine in a: the
+right-hand sides above share the term a^T c_in^p across rows, so every row
+of d_{s+1} is kappa_i + lambda(a) with lambda linear and the same for all
+rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  The searches
+here walk 1-D slices of the family, on which the constraint is an affine
+function of the slice parameter with a single exact rational root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from . import analysis
 from .exact import ExactMatrix, ExactVector, as_vector, solve_linear
@@ -99,8 +98,8 @@ def derive_scheme(a, c_in, c_out=None) -> DerivationResult:
 class SearchRoot:
     """A root of the EIS constraint along a search slice.
 
-    exact marks rational roots found in closed form; bisected roots carry a
-    rational enclosure midpoint within 1e-14 of the true root.
+    The constraint is affine along every slice, so each root is the exact
+    rational solution of a linear equation and exact is always True.
     """
 
     param: Fraction
@@ -108,101 +107,36 @@ class SearchRoot:
     exact: bool
 
 
-def _fit_poly(g):
-    # g is a polynomial of degree <= 2 in its argument; recover it exactly
-    # from evaluations and verify the degree bound at a fourth point.
-    g0, g1, gm1 = g(Fraction(0)), g(Fraction(1)), g(Fraction(-1))
-    gamma = g0
-    beta = (g1 - gm1) / 2
-    alpha = (g1 + gm1) / 2 - g0
-    if g(Fraction(2)) != 4 * alpha + 2 * beta + gamma:
-        raise ArithmeticError("constraint is not quadratic in the slice parameter")
-    return alpha, beta, gamma
+def _line_root(g, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The root of the affine g in [lo, hi], as a list of at most one value.
 
-
-def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _bisect_roots(g, lo: Fraction, hi: Fraction, samples: int) -> list[Fraction]:
-    xs = [lo + (hi - lo) * Fraction(k, samples - 1) for k in range(samples)]
-    vals = [g(x) for x in xs]
-    roots = []
-    for k in range(samples - 1):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0:
-            roots.append(xs[k])
-            continue
-        if va * vb < 0:
-            a, b, fa = xs[k], xs[k + 1], va
-            while float(b - a) > 1e-14:
-                m = (a + b) / 2
-                fm = g(m)
-                if fm == 0:
-                    a = b = m
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa = m, fm
-                else:
-                    b = m
-            roots.append((a + b) / 2)
-    if vals[-1] == 0:
-        roots.append(xs[-1])
-    return roots
-
-
-def _slice_roots(g, lo: Fraction, hi: Fraction, samples: int):
-    """Roots of g in [lo, hi] as (param, exact) pairs.
-
-    Rational roots (linear case, or perfect-square discriminant) are
-    returned exactly; irrational ones are bracketed by sampling and bisected
-    to 1e-14.
+    A constant g, zero included, has no isolated root and yields [].
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     if lo > hi:
         raise ValueError("empty search range")
-    alpha, beta, gamma = _fit_poly(g)
-    if alpha == 0 and beta == 0:
+    g0, g1 = g(Fraction(0)), g(Fraction(1))
+    if g(Fraction(2)) != 2 * g1 - g0:
+        raise ArithmeticError("constraint is not affine in the slice parameter")
+    if g1 == g0:
         return []
-    if alpha == 0:
-        r = -gamma / beta
-        return [(r, True)] if lo <= r <= hi else []
-    disc = beta * beta - 4 * alpha * gamma
-    if disc < 0:
-        return []
-    sq = _rational_sqrt(disc)
-    if sq is not None:
-        roots = sorted({(-beta + sq) / (2 * alpha), (-beta - sq) / (2 * alpha)})
-        return [(r, True) for r in roots if lo <= r <= hi]
-    if lo == hi:
-        return [(lo, False)] if g(lo) == 0 else []
-    return [(r, False) for r in _bisect_roots(g, lo, hi, samples)]
+    r = -g0 / (g1 - g0)
+    return [r] if lo <= r <= hi else []
 
 
-def search_s2(c_in, c_out=None, a1_range=(-2, 2), samples: int = 33) -> list[SearchRoot]:
+def search_s2(c_in, c_out=None, a1_range=(-2, 2)) -> list[SearchRoot]:
     """Roots of a1 -> eis_constraint((a1, 1 - a1)) within a1_range."""
     lo, hi = Fraction(a1_range[0]), Fraction(a1_range[1])
 
     def g(t):
         return eis_constraint((t, 1 - t), c_in, c_out)
 
-    return [
-        SearchRoot(param=r, a=(r, 1 - r), exact=e)
-        for r, e in _slice_roots(g, lo, hi, samples)
-    ]
+    return [SearchRoot(param=r, a=(r, 1 - r), exact=True) for r in _line_root(g, lo, hi)]
 
 
 def search_s3_slice(
     fixed_index: int,
     fixed_value,
     t_range=(-2, 2),
-    samples: int = 33,
     c_in=S3_C_IN,
     c_out=None,
 ) -> list[SearchRoot]:
@@ -231,7 +165,4 @@ def search_s3_slice(
     def g(t):
         return eis_constraint(a_of(t), c_in, c_out)
 
-    return [
-        SearchRoot(param=r, a=a_of(r), exact=e)
-        for r, e in _slice_roots(g, lo, hi, samples)
-    ]
+    return [SearchRoot(param=r, a=a_of(r), exact=True) for r in _line_root(g, lo, hi)]

@@ -22,13 +22,6 @@ ExactVector = tuple[Fraction, ...]
 ExactMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Build the canonical rational num/den (positive denominator, reduced)."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as 'p/q', or just 'p' for integers."""
     x = Fraction(x)
@@ -73,27 +66,41 @@ def _integer_rows(M, extra=None):
     return rows
 
 
-def rank(M: ExactMatrix) -> int:
-    """Exact rank via fraction-free Gaussian elimination."""
-    rows = _integer_rows(M)
-    nr, nc = len(rows), len(rows[0])
+def _eliminate(rows, ncols: int) -> int:
+    """Bareiss elimination of the integer rows in place; returns the rank.
+
+    Pivots are taken from the first ncols columns only; any further columns
+    (a right-hand side) are carried along.  When every column up to ncols
+    has a pivot, row k holds its pivot in column k.
+    """
+    nr, width = len(rows), len(rows[0])
     r = 0
     prev = 1
-    for col in range(nc):
+    for col in range(ncols):
         piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[col]
         for i in range(r + 1, nr):
-            for j in range(col + 1, nc):
+            row = rows[i]
+            f = row[col]
+            for j in range(col + 1, width):
                 # Bareiss step: exact division by the previous pivot.
-                rows[i][j] = (rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]) // prev
-            rows[i][col] = 0
-        prev = rows[r][col]
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = p
         r += 1
         if r == nr:
             break
     return r
+
+
+def rank(M: ExactMatrix) -> int:
+    """Exact rank via fraction-free Gaussian elimination."""
+    rows = _integer_rows(M)
+    return _eliminate(rows, len(rows[0]))
 
 
 def solve_linear(M: ExactMatrix, rhs: ExactVector) -> ExactVector:
@@ -107,17 +114,8 @@ def solve_linear(M: ExactMatrix, rhs: ExactVector) -> ExactVector:
     if len(rhs) != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has {len(rhs)}")
     rows = _integer_rows(M, extra=rhs)
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n + 1):
-                rows[i][j] = (rows[col][col] * rows[i][j] - rows[i][col] * rows[col][j]) // prev
-            rows[i][col] = 0
-        prev = rows[col][col]
+    if _eliminate(rows, n) < n:
+        raise ValueError("singular system")
     # Back substitution in rationals on the integer triangle.
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
@@ -126,9 +124,3 @@ def solve_linear(M: ExactMatrix, rhs: ExactVector) -> ExactVector:
             acc -= rows[i][j] * x[j]
         x[i] = acc / rows[i][i]
     return tuple(x)
-
-
-def identity(n: int) -> ExactMatrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )

@@ -142,7 +142,8 @@ def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockSt
     values = A @ state.values + dt * (B @ F)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite state at step {state.n + 1}")
-    return BlockState(n=state.n + 1, t=state.t + dt, values=values)
+    # Block time from the step count: summing dt would drift for non-dyadic dt.
+    return BlockState(n=state.n + 1, t=prob.t0 + (state.n + 1) * dt, values=values)
 
 
 def _rk4_step(rhs, t, u, h):

@@ -6,7 +6,7 @@ import pytest
 from blockstep.analysis import residual_vector, verify_conditions
 from blockstep.derive import (
     S3_C_IN,
-    _slice_roots,
+    _line_root,
     assemble,
     derive_scheme,
     eis_constraint,
@@ -152,45 +152,27 @@ def test_search_s3_slice_validates_inputs():
         search_s3_slice(0, F(1, 2), c_in=(F(1, 2), F(0)))
 
 
-# ----- generic root finding on synthetic constraints -----------------------
-
-
-def test_slice_roots_perfect_square_quadratic():
-    roots = _slice_roots(lambda t: t * t - F(9, 4), F(-2), F(2), 9)
-    assert roots == [(F(-3, 2), True), (F(3, 2), True)]
-
-
-def test_slice_roots_irrational_quadratic_bisects():
-    roots = _slice_roots(lambda t: t * t - 2, F(0), F(2), 9)
-    assert len(roots) == 1
-    r, exact = roots[0]
-    assert not exact
-    assert abs(float(r) - 2**0.5) < 5e-14
-
-
-def test_slice_roots_negative_discriminant():
-    assert _slice_roots(lambda t: t * t + 1, F(-2), F(2), 9) == []
+# ----- the affine root solve on synthetic constraints ----------------------
 
 
 def test_slice_roots_linear_and_constant():
-    assert _slice_roots(lambda t: 2 * t - 3, F(0), F(2), 5) == [(F(3, 2), True)]
-    assert _slice_roots(lambda t: 2 * t - 3, F(0), F(1), 5) == []
-    assert _slice_roots(lambda t: F(4), F(0), F(1), 5) == []
-    assert _slice_roots(lambda t: F(0), F(0), F(1), 5) == []
+    assert _line_root(lambda t: 2 * t - 3, F(0), F(2)) == [F(3, 2)]
+    assert _line_root(lambda t: 2 * t - 3, F(0), F(1)) == []
+    assert _line_root(lambda t: F(4), F(0), F(1)) == []
+    assert _line_root(lambda t: F(0), F(0), F(1)) == []
 
 
 def test_slice_roots_point_range():
-    assert _slice_roots(lambda t: t * t - 2, F(1), F(1), 5) == []
-    assert _slice_roots(lambda t: t - 1, F(1), F(1), 5) == [(F(1), True)]
+    assert _line_root(lambda t: t - 2, F(1), F(1)) == []
+    assert _line_root(lambda t: t - 1, F(1), F(1)) == [F(1)]
 
 
 def test_slice_roots_validates_arguments():
-    with pytest.raises(ValueError, match="samples"):
-        _slice_roots(lambda t: t, F(0), F(1), 1)
     with pytest.raises(ValueError, match="empty search range"):
-        _slice_roots(lambda t: t, F(1), F(0), 5)
+        _line_root(lambda t: t, F(1), F(0))
 
 
 def test_slice_roots_rejects_higher_degree():
-    with pytest.raises(ArithmeticError, match="not quadratic"):
-        _slice_roots(lambda t: t**3, F(-2), F(2), 9)
+    for g in (lambda t: t * t, lambda t: t**3):
+        with pytest.raises(ArithmeticError, match="not affine"):
+            _line_root(g, F(-2), F(2))

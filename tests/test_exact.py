@@ -5,10 +5,8 @@ import pytest
 
 from blockstep.exact import (
     as_matrix,
-    identity,
     matvec,
     rank,
-    rat_normalize,
     rat_str,
     solve_linear,
 )
@@ -17,17 +15,8 @@ A_S2 = as_matrix([[F(-1, 6), F(7, 6)], [F(-1, 6), F(7, 6)]])
 A_B2 = as_matrix([[F(7, 4), F(-3, 4)], [F(7, 4), F(-3, 4)]])
 
 
-def test_rat_normalize_reduces_and_moves_sign_to_numerator():
-    assert rat_normalize(6, -4) == F(-3, 2)
-    assert rat_normalize(-6, -4) == F(3, 2)
-    assert rat_normalize(0, 9) == F(0)
-    r = rat_normalize(2, 4)
-    assert (r.numerator, r.denominator) == (1, 2)
-
-
-def test_rat_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        rat_normalize(1, 0)
+def identity(n):
+    return as_matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def test_rat_str_formats():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from blockstep.derive import assemble, search_s2
 from blockstep.harness import (
     STANDARD_DTS,
     converge,
@@ -61,6 +62,20 @@ def test_converge_error_inhibiting_scheme_gains_an_order():
     # the global orders sit one above the local truncation orders
     for gap in rep.global_slopes - rep.lte_slopes:
         assert 0.8 <= gap <= 1.2
+
+
+def test_exact_eis_root_measures_one_order_more_than_its_off_family_twin():
+    # search_s2 finds the error-inhibiting member on BUTCHER2's abscissae;
+    # the exact verdict must show up as a measured extra order in floats
+    c_in = (F(1), F(0))
+    (root,) = search_s2(c_in)
+    assert root.a == (F(1, 6), F(5, 6))
+    candidate = assemble(root.a, c_in, name="candidate")
+    for name in ("P1", "P4"):
+        on = converge(candidate, problem(name)).maxnorm_global_slope
+        off = converge(builtin("BUTCHER2"), problem(name)).maxnorm_global_slope
+        assert 2.8 <= on <= 3.2, name
+        assert 1.8 <= off <= 2.2, name
 
 
 def test_converge_plain_scheme_shows_no_gain():

@@ -190,6 +190,13 @@ def test_integrate_accepts_float_step_that_lands_on_target():
     assert traj.final.n == 10
 
 
+def test_block_time_does_not_drift_over_many_steps():
+    # summing dt = 0.1 ten thousand times would end at 1000.0000000001588
+    traj = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0, final_only=True)
+    assert traj.final.n == 10_000
+    assert traj.final.t == 1000.0
+
+
 def test_integrate_rejects_misaligned_step():
     with pytest.raises(ValueError, match="T not reachable with this dt"):
         integrate(builtin("S2"), problem("P1"), F(3, 10), 1.0)
