@@ -23,11 +23,13 @@ the zero-eigenspace of A.  The checkable conditions are:
 Under C1-C2 every row of A equals the same vector a^T, so
 A d_{q+1} = (a^T d_{q+1}) 1 and C4 is exactly the leading-order annihilation
 statement.  Global error then converges one order beyond q.
+
+Linear stability: rho(A + z B) is the largest eigenvalue modulus of the
+double-precision Q(z), from numpy's LAPACK eigvals, for any block size s.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -36,9 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import ExactVector, matvec, rank
-from .scheme import Scheme
-
-_ZCUBE = cmath.exp(2j * cmath.pi / 3)
+from .scheme import Scheme, float_tables
 
 
 def residual_vector(scheme: Scheme, p: int) -> ExactVector:
@@ -185,108 +185,31 @@ def verify_conditions(scheme: Scheme, p_max: int = 8) -> VerificationReport:
 # ----- linear stability diagnostics ---------------------------------------
 
 
-def _quadratic_roots(tr: complex, det: complex) -> list[complex]:
-    sq = cmath.sqrt(tr * tr - 4 * det)
-    return [(tr + sq) / 2, (tr - sq) / 2]
-
-
-def _cubic_roots(a: complex, b: complex, c: complex) -> list[complex]:
-    # Roots of y^3 + a y^2 + b y + c via Cardano in complex arithmetic.
-    p = b - a * a / 3
-    q = 2 * a**3 / 27 - a * b / 3 + c
-    w = cmath.sqrt(q * q / 4 + p**3 / 27)
-    s1, s2 = -q / 2 + w, -q / 2 - w
-    t = s1 if abs(s1) >= abs(s2) else s2
-    if t == 0:
-        return [-a / 3] * 3
-    u = t ** (1.0 / 3.0)
-    v = -p / (3 * u)
-    return [
-        u + v - a / 3,
-        u * _ZCUBE + v / _ZCUBE - a / 3,
-        u / _ZCUBE + v * _ZCUBE - a / 3,
-    ]
-
-
-def _char_roots(Q: np.ndarray) -> list[complex]:
-    s = Q.shape[0]
-    if s == 1:
-        return [complex(Q[0, 0])]
-    if s == 2:
-        tr = Q[0, 0] + Q[1, 1]
-        det = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
-        roots = _quadratic_roots(complex(tr), complex(det))
-        coeffs = [complex(-tr), complex(det)]
-    elif s == 3:
-        tr = Q[0, 0] + Q[1, 1] + Q[2, 2]
-        m2 = (
-            Q[1, 1] * Q[2, 2] - Q[1, 2] * Q[2, 1]
-            + Q[0, 0] * Q[2, 2] - Q[0, 2] * Q[2, 0]
-            + Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
-        )
-        det = complex(np.linalg.det(Q))
-        roots = _cubic_roots(complex(-tr), complex(m2), complex(-det))
-        coeffs = [complex(-tr), complex(m2), complex(-det)]
-    else:
-        raise ValueError("stability diagnostics support s <= 3")
-
-    # Newton polish against the monic characteristic polynomial; the closed
-    # forms are already accurate, this just shaves rounding.
-    def poly(x):
-        acc = x**s
-        for k, ck in enumerate(coeffs):
-            acc += ck * x ** (s - 1 - k)
-        return acc
-
-    def dpoly(x):
-        acc = s * x ** (s - 1)
-        for k, ck in enumerate(coeffs):
-            deg = s - 1 - k
-            if deg:
-                acc += ck * deg * x ** (deg - 1)
-        return acc
-
-    polished = []
-    for lam in roots:
-        tol = 1e-12 * max(1.0, abs(lam)) ** s
-        for _ in range(20):
-            if abs(poly(lam)) <= tol:
-                break
-            d = dpoly(lam)
-            if d == 0:
-                break
-            lam = lam - poly(lam) / d
-        polished.append(lam)
-    return polished
-
-
 def amplification(scheme: Scheme, z: complex) -> np.ndarray:
     """Q(z) = A + z B in double precision (z = lambda * dt)."""
-    A = np.array([[float(x) for x in row] for row in scheme.A])
-    B = np.array([[float(x) for x in row] for row in scheme.B])
-    return A.astype(complex) + complex(z) * B
+    A, B, _, _ = float_tables(scheme)
+    return A + complex(z) * B
 
 
 def spectral_radius(scheme: Scheme, z: complex) -> float:
-    """rho(A + z B) via closed-form characteristic roots (s <= 3)."""
-    return max(abs(lam) for lam in _char_roots(amplification(scheme, z)))
+    """rho(A + z B): the largest modulus among the eigenvalues of Q(z)."""
+    return float(np.abs(np.linalg.eigvals(amplification(scheme, z))).max())
 
 
 def stability_scan(scheme, re_range, im_range, grid_n):
     """Spectral radius of Q(z) on a grid_n x grid_n grid of z values.
 
     Returns (re_vals, im_vals, rho) with rho[i][j] the radius at
-    z = re_vals[j] + 1j * im_vals[i].
+    z = re_vals[j] + 1j * im_vals[i].  One batched eigvals call per grid
+    row keeps memory linear in grid_n.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     re_vals = np.linspace(re_range[0], re_range[1], grid_n)
     im_vals = np.linspace(im_range[0], im_range[1], grid_n)
-    A = np.array([[float(x) for x in row] for row in scheme.A], dtype=complex)
-    B = np.array([[float(x) for x in row] for row in scheme.B], dtype=complex)
+    A, B, _, _ = float_tables(scheme)
     rho = np.empty((grid_n, grid_n))
     for i, y in enumerate(im_vals):
-        for j, x in enumerate(re_vals):
-            Q = A + complex(x, y) * B
-            rho[i, j] = max(abs(lam) for lam in _char_roots(Q))
+        Q = A + (re_vals + 1j * y)[:, None, None] * B
+        rho[i] = np.abs(np.linalg.eigvals(Q)).max(axis=1)
     return re_vals, im_vals, rho

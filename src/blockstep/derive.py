@@ -46,14 +46,12 @@ def solve_B(a, c_in, c_out=None) -> ExactMatrix:
     a, c_in, c_out = _normalize(a, c_in, c_out)
     s = len(a)
     V = tuple(tuple(c ** (p - 1) for c in c_in) for p in range(1, s + 1))
-    rows = []
-    for i in range(s):
-        rhs = tuple(
-            (c_out[i] ** p - sum(a[j] * c_in[j] ** p for j in range(s))) / p
-            for p in range(1, s + 1)
-        )
-        rows.append(solve_linear(V, rhs))
-    return tuple(rows)
+    # Column i of R is the system for row b_i; a^T c_in^p is shared by all.
+    R = []
+    for p in range(1, s + 1):
+        m = sum(a[j] * c_in[j] ** p for j in range(s))
+        R.append(tuple((c_out[i] ** p - m) / p for i in range(s)))
+    return tuple(zip(*solve_linear(V, tuple(R))))
 
 
 def assemble(a, c_in, c_out=None, name: str = "derived") -> Scheme:

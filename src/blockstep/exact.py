@@ -57,10 +57,11 @@ def matvec(M: ExactMatrix, v: ExactVector) -> ExactVector:
 
 def _integer_rows(M, extra=None):
     # Scale each row by the lcm of its denominators; rank and solution sets
-    # are unchanged.  `extra` appends a right-hand-side column first.
+    # are unchanged.  `extra` appends right-hand-side columns first (its
+    # row i joins row i of M).
     rows = []
     for i, row in enumerate(M):
-        full = list(row) + ([extra[i]] if extra is not None else [])
+        full = list(row) + (list(extra[i]) if extra is not None else [])
         scale = lcm(*(f.denominator for f in full))
         rows.append([int(f * scale) for f in full])
     return rows
@@ -103,24 +104,27 @@ def rank(M: ExactMatrix) -> int:
     return _eliminate(rows, len(rows[0]))
 
 
-def solve_linear(M: ExactMatrix, rhs: ExactVector) -> ExactVector:
-    """Solve the square system M x = rhs exactly.
+def solve_linear(M: ExactMatrix, R: ExactMatrix) -> ExactMatrix:
+    """Solve the square system M X = R exactly for the n x k matrix X.
 
+    One elimination of M serves all k right-hand-side columns of R.
     Raises ValueError("singular system") when M has no unique solution.
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("dimension mismatch: matrix not square")
-    if len(rhs) != n:
-        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has {len(rhs)}")
-    rows = _integer_rows(M, extra=rhs)
+    if len(R) != n or len({len(row) for row in R}) != 1:
+        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs is not an {n}-row matrix")
+    k = len(R[0])
+    rows = _integer_rows(M, extra=R)
     if _eliminate(rows, n) < n:
         raise ValueError("singular system")
-    # Back substitution in rationals on the integer triangle.
-    x = [Fraction(0)] * n
+    # Back substitution in rationals on the integer triangle, all columns at once.
+    X = [()] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return tuple(x)
+        top = rows[i]
+        X[i] = tuple(
+            Fraction(top[n + c] - sum(top[j] * X[j][c] for j in range(i + 1, n)), top[i])
+            for c in range(k)
+        )
+    return tuple(X)

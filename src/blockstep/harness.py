@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .integrate import Problem, measure_lte, rk4_reference
 from .integrate import integrate as run_integration
-from .scheme import Scheme
+from .scheme import Scheme, float_tables
 
 STANDARD_DTS = (
     0.125,
@@ -106,7 +106,7 @@ def converge(
     dt_list = sorted((float(d) for d in dts), reverse=True)
     if len(set(dt_list)) != len(dt_list):
         raise ValueError("duplicate dt values")
-    c_in = [float(c) for c in scheme.c_in]
+    c_in = float_tables(scheme)[2].tolist()
 
     global_err: list[np.ndarray] = []
     lte: Optional[list[np.ndarray]] = [] if prob.exact is not None else None
@@ -172,18 +172,20 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(report: ConvergenceReport) -> list[list[str]]:
+    # Per dt: dt, the global errors, then the LTE values when measured.
+    lte = report.lte if report.lte is not None else [()] * len(report.dts)
+    rows = zip(report.dts, report.global_err, lte)
+    return [[_g(x) for x in (dt, *e, *v)] for dt, e, v in rows]
+
+
 def emit_csv(report: ConvergenceReport, path) -> None:
     """Write the per-dt table; LTE columns appear only when measured."""
     s = len(report.global_err[0])
     cols = ["dt"] + [f"global_err_comp_{j}" for j in range(s)]
     if report.lte is not None:
         cols += [f"lte_comp_{j}" for j in range(s)]
-    lines = [",".join(cols)]
-    for i, dt in enumerate(report.dts):
-        row = [_g(dt)] + [_g(e) for e in report.global_err[i]]
-        if report.lte is not None:
-            row += [_g(v) for v in report.lte[i]]
-        lines.append(",".join(row))
+    lines = [",".join(cols)] + [",".join(row) for row in _rows(report)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -216,11 +218,7 @@ def emit_plot_script(report: ConvergenceReport, path) -> None:
         f"set title '{report.scheme_name} on {report.problem_name}'",
         "$DATA << EOD",
     ]
-    for i, dt in enumerate(report.dts):
-        row = [_g(dt)] + [_g(e) for e in report.global_err[i]]
-        if report.lte is not None:
-            row += [_g(v) for v in report.lte[i]]
-        lines.append(" ".join(row))
+    lines += [" ".join(row) for row in _rows(report)]
     lines.append("EOD")
     lines.append(f"guide_q(x) = {cq:.6g} * x**{q}")
     lines.append(f"guide_q1(x) = {cq1:.6g} * x**{q + 1}")

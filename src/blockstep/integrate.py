@@ -6,8 +6,8 @@ t_n + c_in[j] * dt.  One step maps the block to
     V_{n+1} = A V_n + dt * B * F(V_n)
 
 where F applies the right-hand side rowwise at each row's own time.  The
-exact rational matrices are rendered to double precision once per scheme
-(nearest-even) and reused, so runs are bitwise reproducible.
+exact rational matrices are read through scheme.float_tables, rendered to
+double once per scheme, so runs are bitwise reproducible.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap
 (exact solution when available, otherwise a fine classical RK4 sweep), a
@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .scheme import Scheme
+from .scheme import Scheme, float_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +119,9 @@ class Trajectory:
         return self.blocks[-1]
 
 
-@lru_cache(maxsize=None)
-def _float_tables(scheme: Scheme):
-    A = np.array([[float(x) for x in row] for row in scheme.A])
-    B = np.array([[float(x) for x in row] for row in scheme.B])
-    c_in = np.array([float(x) for x in scheme.c_in])
-    c_out = np.array([float(x) for x in scheme.c_out])
-    for arr in (A, B, c_in, c_out):
-        arr.setflags(write=False)
-    return A, B, c_in, c_out
-
-
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    A, B, c_in, _ = _float_tables(scheme)
+    A, B, c_in, _ = float_tables(scheme)
     F = np.empty_like(state.values)
     for j in range(scheme.s):
         F[j] = prob.rhs(state.t + c_in[j] * dt, state.values[j])
@@ -165,17 +153,18 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     if dt <= 0:
         raise ValueError("non-positive step")
     s, m = scheme.s, prob.dim
+    c_in = float_tables(scheme)[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
     values = np.empty((s, m))
     if prob.exact is not None:
         for j in range(s):
-            tj = prob.t0 + float(scheme.c_in[j]) * dt
+            tj = prob.t0 + c_in[j] * dt
             values[j] = np.asarray(prob.exact(tj), dtype=float)
     else:
         u = prob.u0.copy()
         values[s - 1] = u
         c_prev = 0.0
         for j in range(s - 2, -1, -1):
-            c_next = float(scheme.c_in[j])
+            c_next = c_in[j]
             t_start = prob.t0 + c_prev * dt
             h = (c_next - c_prev) * dt / n_sub
             for k in range(n_sub):
@@ -265,7 +254,7 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
         raise ValueError("missing exact solution")
     n_steps = _step_count(prob, dt, T)
     dtf = float(dt)
-    A, B, c_in, c_out = _float_tables(scheme)
+    A, B, c_in, c_out = float_tables(scheme)
     s, m = scheme.s, prob.dim
     worst = np.zeros(s)
     for n in range(n_steps):

@@ -13,6 +13,7 @@ from blockstep.analysis import (
     truncation_order,
     verify_conditions,
 )
+from blockstep.derive import assemble
 from blockstep.scheme import BUILTIN_NAMES, builtin, make_scheme
 
 from _oracle_util import (
@@ -49,6 +50,11 @@ RESIDUALS = {
 }
 
 ORDERS = {"S2": 2, "BUTCHER2": 2, "S3A": 3, "S3B": 3, "S3C": 3}
+
+
+def _s4_scheme():
+    # A = 1 a^T with a = (1/4, ..., 1/4) and B from the order conditions.
+    return assemble([F(1, 4)] * 4, [F(3, 4), F(1, 2), F(1, 4), F(0)], name="S4")
 
 
 def test_zeroth_residual_vanishes_for_unit_row_sums():
@@ -231,15 +237,33 @@ def test_spectral_radius_tracks_the_scalar_flow():
     assert spectral_radius(s2, +0.1) > 1.0
 
 
-def test_closed_form_roots_match_lapack():
-    rng = random.Random(7)
-    for name in BUILTIN_NAMES:
-        sch = builtin(name)
-        for _ in range(40):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            mine = spectral_radius(sch, z)
-            ref = max(abs(lam) for lam in np.linalg.eigvals(amplification(sch, z)))
-            assert abs(mine - ref) <= 1e-10 * max(1.0, ref)
+def _charpoly(Q):
+    # Faddeev-LeVerrier in exact rationals: coefficients of det(x I - Q),
+    # leading first.
+    n = len(Q)
+    coeffs = [F(1)]
+    M = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [
+            [sum(Q[i][l] * M[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(sum(Q[i][l] * M[l][i] for l in range(n)) for i in range(n))
+        coeffs.append(-trace / k)
+    return coeffs
+
+
+def test_spectral_radius_matches_exact_characteristic_polynomial():
+    schemes = [builtin(name) for name in BUILTIN_NAMES] + [_s4_scheme()]
+    for sch in schemes:
+        for k in range(-24, 9):
+            z = F(k, 8)
+            Q = [[sch.A[i][j] + z * sch.B[i][j] for j in range(sch.s)] for i in range(sch.s)]
+            roots = np.roots([float(c) for c in _charpoly(Q)])
+            ref = float(np.max(np.abs(roots)))
+            mine = spectral_radius(sch, float(z))
+            assert abs(mine - ref) <= 1e-10 * max(1.0, ref), (sch.name, z)
 
 
 def test_power_iteration_agrees_with_radius():
@@ -268,11 +292,18 @@ def test_stability_scan_rejects_degenerate_grid():
         stability_scan(builtin("S2"), (-1, 0), (-1, 1), 1)
 
 
-def test_stability_size_cap():
+def test_stability_scans_block_size_four():
     c_in = [F(3, 4), F(1, 2), F(1, 4), F(0)]
     c_out = [c + 1 for c in c_in]
     A = [[F(1), F(0), F(0), F(0)] for _ in range(4)]
     B = [[F(0)] * 4 for _ in range(4)]
-    sch = make_scheme("wide", c_in, c_out, A, B)
-    with pytest.raises(ValueError, match="support s <= 3"):
-        spectral_radius(sch, 0.0)
+    wide = make_scheme("wide", c_in, c_out, A, B)
+    _, _, rho = stability_scan(wide, (-3.0, 1.0), (-3.0, 3.0), 9)
+    assert np.abs(rho - 1.0).max() <= 1e-12  # Q(z) = A for every z
+
+    sch = _s4_scheme()
+    assert abs(spectral_radius(sch, 0.0) - 1.0) <= 1e-12
+    re_vals, im_vals, rho = stability_scan(sch, (-1.0, 1.0), (-1.0, 1.0), 5)
+    assert re_vals[2] == im_vals[2] == 0.0
+    assert abs(rho[2, 2] - 1.0) <= 1e-12
+    assert np.isfinite(rho).all()

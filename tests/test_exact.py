@@ -104,31 +104,35 @@ def test_rank_invariant_under_row_swap_and_scale():
         assert rank(as_matrix(rows)) == base
 
 
+def col(*entries):
+    return tuple((F(x),) for x in entries)
+
+
 def test_solve_linear_moment_system_row():
-    # first-row system from the two-step coefficient construction
+    # both rows of the two-step coefficient construction: column i of the
+    # right-hand side yields row i of B, from one elimination
     V = as_matrix([[1, 1], [F(1, 2), 0]])
-    rhs = (F(19, 12), F(55, 48))
-    assert solve_linear(V, rhs) == (F(55, 24), F(-17, 24))
+    R = ((F(19, 12), F(13, 12)), (F(55, 48), F(25, 48)))
+    assert solve_linear(V, R) == ((F(55, 24), F(25, 24)), (F(-17, 24), F(1, 24)))
+    assert solve_linear(V, col(F(19, 12), F(55, 48))) == col(F(55, 24), F(-17, 24))
 
 
 def test_solve_linear_identity_and_zero():
-    assert solve_linear(identity(3), (F(4), F(-1, 2), F(0))) == (
-        F(4),
-        F(-1, 2),
-        F(0),
-    )
+    assert solve_linear(identity(3), col(4, F(-1, 2), 0)) == col(4, F(-1, 2), 0)
     M = as_matrix([[F(-1, 6), F(7, 6)], [0, 1]])
-    assert solve_linear(M, (F(0), F(0))) == (F(0), F(0))
+    assert solve_linear(M, col(0, 0)) == col(0, 0)
 
 
 def test_solve_linear_singular():
     with pytest.raises(ValueError, match="singular system"):
-        solve_linear(as_matrix([[1, 1], [2, 2]]), (F(1), F(1)))
+        solve_linear(as_matrix([[1, 1], [2, 2]]), col(1, 1))
 
 
 def test_solve_linear_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        solve_linear(identity(2), (F(1), F(2), F(3)))
+        solve_linear(identity(2), col(1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_linear(identity(2), ((F(1), F(2)), (F(3),)))
 
 
 def test_solve_linear_roundtrip_property():
@@ -143,7 +147,11 @@ def test_solve_linear_roundtrip_property():
         M = as_matrix(rows)
         if rank(M) < n:
             continue
-        x = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-        rhs = matvec(M, x)
-        assert solve_linear(M, rhs) == x
+        k = rng.randint(1, 3)
+        X = tuple(
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
+            for _ in range(n)
+        )
+        R = tuple(zip(*(matvec(M, column) for column in zip(*X))))
+        assert solve_linear(M, R) == X
         done += 1
