@@ -12,6 +12,11 @@ with exact rational coefficient vectors
 for all p <= k; the normalized local truncation error is then
 tau_n = d_{q+1} dt^q u^(q+1) + O(dt^{q+1}).
 
+Every valid scheme has q <= 2s - 1: w(t) = prod_j (t - c_in[j])^2 has degree
+2s and w(0) = 0, so if d_1 .. d_2s all vanished its residual would vanish,
+yet row 0 of that residual is w(c_out[0]) != 0 because w and w' vanish at
+every input abscissa and c_out[0] exceeds them all.
+
 A scheme is error inhibiting when the leading residual vector d_{q+1} lies in
 the zero-eigenspace of A.  The checkable conditions are:
 
@@ -32,13 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 
 from .exact import ExactVector, matvec, rank
-from .scheme import Scheme, float_tables
+from .scheme import Scheme
 
 
 def residual_vector(scheme: Scheme, p: int) -> ExactVector:
@@ -74,24 +80,17 @@ def residual_table(scheme: Scheme, p_max: int) -> dict[int, ExactVector]:
 class TruncationOrder(NamedTuple):
     q: int
     leading: ExactVector
-    saturated: bool  # q hit p_max; raise p_max to resolve
 
 
-def truncation_order(scheme: Scheme, p_max: int = 8) -> TruncationOrder:
+def truncation_order(scheme: Scheme) -> TruncationOrder:
     """Largest q with d_p = 0 for all p <= q, plus the leading vector d_{q+1}.
 
-    When every order up to p_max vanishes the result is flagged saturated and
-    the caller should retry with a larger p_max.
+    The walk over p = 1, 2, ... stops by p = 2s (see the module docstring).
     """
-    if p_max < 2:
-        raise ValueError("p_max must be >= 2")
-    zero = tuple(Fraction(0) for _ in range(scheme.s))
-    q = 0
-    for p in range(1, p_max + 1):
-        if residual_vector(scheme, p) != zero:
-            return TruncationOrder(p - 1, residual_vector(scheme, p), False)
-        q = p
-    return TruncationOrder(q, residual_vector(scheme, q + 1), True)
+    for p in count(1):
+        leading = residual_vector(scheme, p)
+        if any(leading):
+            return TruncationOrder(p - 1, leading)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class VerificationReport:
     leading: ExactVector
     a: ExactVector | None
     eis_residual: Fraction | None
-    saturated: bool
 
     @property
     def all_pass(self) -> bool:
@@ -135,20 +133,9 @@ def _rank1_row(scheme: Scheme) -> ExactVector | None:
     return None
 
 
-def verify_conditions(scheme: Scheme, p_max: int = 8) -> VerificationReport:
-    """Check C1-C4 exactly and report witnesses.
-
-    The truncation order search starts at p_max and doubles while saturated,
-    up to a hard bound, so callers normally never see a saturated report.
-    """
-    bound = p_max
-    while True:
-        order = truncation_order(scheme, bound)
-        if not order.saturated or bound >= 40:
-            break
-        bound *= 2
-    if order.saturated:
-        raise ValueError("truncation order exceeds search bound 40")
+def verify_conditions(scheme: Scheme) -> VerificationReport:
+    """Check C1-C4 exactly and report witnesses."""
+    order = truncation_order(scheme)
 
     r = rank(scheme.A)
     c1 = ConditionRecord(r == 1, r)
@@ -178,7 +165,6 @@ def verify_conditions(scheme: Scheme, p_max: int = 8) -> VerificationReport:
         leading=order.leading,
         a=a,
         eis_residual=eis,
-        saturated=order.saturated,
     )
 
 
@@ -187,7 +173,7 @@ def verify_conditions(scheme: Scheme, p_max: int = 8) -> VerificationReport:
 
 def amplification(scheme: Scheme, z: complex) -> np.ndarray:
     """Q(z) = A + z B in double precision (z = lambda * dt)."""
-    A, B, _, _ = float_tables(scheme)
+    A, B, _, _ = scheme.float_tables
     return A + complex(z) * B
 
 
@@ -207,7 +193,7 @@ def stability_scan(scheme, re_range, im_range, grid_n):
         raise ValueError("grid_n must be >= 2")
     re_vals = np.linspace(re_range[0], re_range[1], grid_n)
     im_vals = np.linspace(im_range[0], im_range[1], grid_n)
-    A, B, _, _ = float_tables(scheme)
+    A, B, _, _ = scheme.float_tables
     rho = np.empty((grid_n, grid_n))
     for i, y in enumerate(im_vals):
         Q = A + (re_vals + 1j * y)[:, None, None] * B

@@ -145,11 +145,7 @@ def cmd_truncation(args) -> int:
     table = analysis.residual_table(scheme, args.pmax)
     for p in sorted(table):
         print(f"d_{p} = {_vec_str(table[p])}")
-    order = analysis.truncation_order(scheme, args.pmax)
-    if order.saturated:
-        print(f"truncation order >= {order.q} (saturated; raise --pmax)")
-    else:
-        print(f"truncation order q={order.q}")
+    print(f"truncation order q={analysis.truncation_order(scheme).q}")
     return 0
 
 
@@ -223,7 +219,7 @@ def cmd_integrate(args) -> int:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     final = traj.final
-    c_in = sch.float_tables(scheme)[2]
+    c_in = scheme.float_tables[2]
     print(f"final base time t={final.t:.17g} after {final.n} steps of dt={traj.dt:.17g}")
     for j in range(scheme.s):
         vals = ", ".join(format(v, ".17g") for v in final.values[j])

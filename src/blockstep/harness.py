@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .integrate import Problem, measure_lte, rk4_reference
 from .integrate import integrate as run_integration
-from .scheme import Scheme, float_tables
+from .scheme import Scheme
 
 STANDARD_DTS = (
     0.125,
@@ -106,7 +106,7 @@ def converge(
     dt_list = sorted((float(d) for d in dts), reverse=True)
     if len(set(dt_list)) != len(dt_list):
         raise ValueError("duplicate dt values")
-    c_in = float_tables(scheme)[2].tolist()
+    c_in = scheme.float_tables[2].tolist()
 
     global_err: list[np.ndarray] = []
     lte: Optional[list[np.ndarray]] = [] if prob.exact is not None else None

@@ -6,7 +6,7 @@ t_n + c_in[j] * dt.  One step maps the block to
     V_{n+1} = A V_n + dt * B * F(V_n)
 
 where F applies the right-hand side rowwise at each row's own time.  The
-exact rational matrices are read through scheme.float_tables, rendered to
+exact rational matrices are read through Scheme.float_tables, rendered to
 double once per scheme, so runs are bitwise reproducible.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .scheme import Scheme, float_tables
+from .scheme import Scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +121,7 @@ class Trajectory:
 
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    A, B, c_in, _ = float_tables(scheme)
+    A, B, c_in, _ = scheme.float_tables
     F = np.empty_like(state.values)
     for j in range(scheme.s):
         F[j] = prob.rhs(state.t + c_in[j] * dt, state.values[j])
@@ -152,8 +152,10 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     """
     if dt <= 0:
         raise ValueError("non-positive step")
+    if n_sub < 1:
+        raise ValueError("n_sub must be >= 1")
     s, m = scheme.s, prob.dim
-    c_in = float_tables(scheme)[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
+    c_in = scheme.float_tables[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
     values = np.empty((s, m))
     if prob.exact is not None:
         for j in range(s):
@@ -254,7 +256,7 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
         raise ValueError("missing exact solution")
     n_steps = _step_count(prob, dt, T)
     dtf = float(dt)
-    A, B, c_in, c_out = float_tables(scheme)
+    A, B, c_in, c_out = scheme.float_tables
     s, m = scheme.s, prob.dim
     worst = np.zeros(s)
     for n in range(n_steps):

@@ -8,7 +8,7 @@ A scheme advances a block of s solution values sitting at staggered offsets
 with s x s coefficient matrices A and B held exactly as rationals.  Input
 abscissae c_in and output abscissae c_out are stored explicitly, in units of
 the block step dt, largest first; the last input abscissa is always 0 (the
-base time itself).  All float code reads a scheme through float_tables.
+base time itself).  All float code reads a scheme through Scheme.float_tables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,15 +52,14 @@ class Scheme:
         if any(self.c_out[i] <= self.c_in[i] for i in range(s)):
             raise ValueError("output abscissae must exceed input abscissae")
 
-
-@lru_cache(maxsize=None)
-def float_tables(scheme: Scheme):
-    """Read-only (A, B, c_in, c_out) rounded to double, once per scheme."""
-    A, B = (np.array([[float(x) for x in row] for row in M]) for M in (scheme.A, scheme.B))
-    c_in, c_out = (np.array([float(x) for x in c]) for c in (scheme.c_in, scheme.c_out))
-    for arr in (A, B, c_in, c_out):
-        arr.setflags(write=False)
-    return A, B, c_in, c_out
+    @cached_property
+    def float_tables(self):
+        """Read-only (A, B, c_in, c_out) rounded to double, once per scheme."""
+        A, B = (np.array([[float(x) for x in row] for row in M]) for M in (self.A, self.B))
+        c_in, c_out = (np.array([float(x) for x in c]) for c in (self.c_in, self.c_out))
+        for arr in (A, B, c_in, c_out):
+            arr.setflags(write=False)
+        return A, B, c_in, c_out
 
 
 def make_scheme(name, c_in, c_out, A, B) -> Scheme:

@@ -92,13 +92,6 @@ def test_truncation_order_builtins():
         res = truncation_order(builtin(name))
         assert res.q == q
         assert res.leading == RESIDUALS[name][q + 1]
-        assert not res.saturated
-
-
-def test_truncation_order_reports_saturation():
-    res = truncation_order(builtin("S3A"), p_max=2)
-    assert res.q == 2
-    assert res.saturated
 
 
 def test_residual_affine_in_derivative_matrix():

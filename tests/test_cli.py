@@ -79,6 +79,14 @@ def test_truncation(capsys):
     assert "d_3 = (161/576, 23/576)" in out
     assert "d_4 = (377/2304, 47/2304)" in out
     assert "truncation order q=2" in out
+    # --pmax only limits the printed table; the order is always resolved.
+    code, out, err = run(capsys, "truncation", "S2", "--pmax", "1")
+    assert code == 0 and err == ""
+    assert out == "d_1 = (0, 0)\ntruncation order q=2\n"
+    code, out, err = run(capsys, "truncation", "S3A", "--pmax", "2")
+    assert code == 0
+    assert "d_3" not in out
+    assert "truncation order q=3" in out
 
 
 def test_derive_prints_and_saves(tmp_path, capsys):
@@ -183,6 +191,17 @@ def test_integrate_misaligned_step(capsys):
     )
     assert code == 1
     assert "error: T not reachable with this dt" in err
+
+
+def test_integrate_rejects_non_positive_substep_count(capsys):
+    for nsub in ("0", "-5"):
+        code, out, err = run(
+            capsys, "integrate", "--scheme", "S2", "--problem", "P2",
+            "--dt", "1/8", "--T", "1/4", "--nsub", nsub,
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: n_sub must be >= 1" in err
 
 
 def test_unknown_scheme(capsys):

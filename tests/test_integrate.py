@@ -165,6 +165,12 @@ def test_bootstrap_rejects_non_positive_step():
         bootstrap(builtin("S2"), problem("P1"), -0.1)
 
 
+def test_bootstrap_rejects_non_positive_substep_count():
+    for n_sub in (0, -5):
+        with pytest.raises(ValueError, match="n_sub must be >= 1"):
+            bootstrap(builtin("S2"), problem("P2"), 0.125, n_sub=n_sub)
+
+
 def test_integrate_p1_reaches_the_target():
     traj = integrate(builtin("S2"), problem("P1"), F(1, 8), 1.0)
     assert len(traj.blocks) == 9

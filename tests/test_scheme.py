@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -173,3 +174,24 @@ def test_scheme_is_immutable():
     sch = builtin("S2")
     with pytest.raises(AttributeError):
         sch.s = 5
+
+
+def test_float_tables_are_cached_and_read_only():
+    sch = builtin("S3A")
+    A, B, c_in, c_out = first = sch.float_tables
+    assert all(x is y for x, y in zip(sch.float_tables, first))
+    assert A[0, 0] == 467 / 768 and c_in.tolist() == [2 / 3, 1 / 3, 0.0]
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_float_tables_leave_equality_and_roundtrip_alone(tmp_path):
+    sch = builtin("S2")
+    assert sch.float_tables[1].shape == (2, 2)  # fills the instance cache first
+    path = tmp_path / "S2.json"
+    save(sch, path)
+    back = load(path)
+    assert back == sch and hash(back) == hash(sch)
+    doubled = dataclasses.replace(sch, B=tuple(tuple(2 * x for x in row) for row in sch.B))
+    assert (doubled.float_tables[1] == 2 * sch.float_tables[1]).all()
