@@ -28,6 +28,21 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _int_at_least(k: int):
+    """argparse type: an integer no smaller than k."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+
+    return parse
+
+
 def _rat_list(text: str) -> list[Fraction]:
     return [_rat(tok) for tok in text.split(",") if tok.strip()]
 
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("truncation", help="print residual vectors d_p and the order")
     q.add_argument("scheme", help="builtin name or scheme JSON file")
-    q.add_argument("--pmax", type=int, default=6, help="highest order to print")
+    q.add_argument("--pmax", type=_int_at_least(1), default=6, help="highest order to print")
     q.set_defaults(func=cmd_truncation)
 
     q = sub.add_parser("derive", help="solve the order conditions for B given the row a")
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dt", type=_rat, required=True, help="step size, p/q or decimal")
     q.add_argument("--T", type=_rat, required=True, help="final time")
     q.add_argument("--out", help="write trajectory CSV (abscissa-0 row per block)")
-    q.add_argument("--nsub", type=int, default=1000, help="bootstrap RK4 substeps")
+    q.add_argument("--nsub", type=_int_at_least(1), default=1000, help="bootstrap RK4 substeps")
     q.set_defaults(func=cmd_integrate)
 
     q = sub.add_parser("converge", help="convergence study over a dt ladder")
@@ -373,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LO:HI")
     q.add_argument("--im", type=_range_pair, default=(Fraction(-3), Fraction(3)),
                    metavar="LO:HI")
-    q.add_argument("--n", type=int, default=41, help="grid points per axis")
+    q.add_argument("--n", type=_int_at_least(2), default=41, help="grid points per axis")
     q.add_argument("--out", help="write re,im,rho CSV here (default stdout)")
     q.set_defaults(func=cmd_stability)
 

@@ -6,6 +6,11 @@ RK4 reference when no closed form exists); when an exact solution is present
 the local truncation error is measured as well.  Log-log slopes quantify the
 orders: an error-inhibiting scheme shows a global slope one above its LTE
 slope, a plain scheme shows equal slopes.
+
+Without a closed form, one doubling-verified RK4 sweep per study serves
+every time the study needs: the reference values at T + c_j dt and the
+starting rows at t0 + c_j dt, for every dt of the ladder.  The ladder is
+checked before any of that work starts.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import Problem, measure_lte, rk4_reference
+from .integrate import Problem, _step_count, measure_lte, rk4_reference
 from .integrate import integrate as run_integration
 from .scheme import Scheme
 
@@ -71,24 +76,40 @@ def fit_slope(points) -> float:
     return float(dx @ dy / (dx @ dx))
 
 
-def _reference_at(prob, t, cache):
-    """RK4 reference value at time t, escalating n_steps until the doubling
-    check passes.  cache maps (problem name, t) -> (n_steps, value)."""
-    key = (prob.name, float(t))
-    if cache is not None and key in cache:
-        return cache[key]
-    n = _REF_START
-    while True:
-        try:
-            val = rk4_reference(prob, t, n)
-            break
-        except ValueError:
-            n *= 2
-            if n > _REF_LIMIT:
-                raise
-    if cache is not None:
-        cache[key] = (n, val)
-    return n, val
+def _references(prob, times, cache):
+    """(n_steps, value) of the RK4 reference at each time.
+
+    Times missing from cache, a dict mapping (problem name, t) to
+    (n_steps, value), come from one sweep up to the largest of them; n_steps
+    doubles from _REF_START until the doubling check passes at every time.
+    """
+    cache = {} if cache is None else cache
+    missing = sorted({float(t) for t in times if (prob.name, float(t)) not in cache})
+    if missing:
+        n = _REF_START
+        while True:
+            try:
+                vals = rk4_reference(prob, missing[-1], n, times=missing)
+                break
+            except ValueError:
+                n *= 2
+                if n > _REF_LIMIT:
+                    raise
+        for t, val in zip(missing, vals):
+            cache[(prob.name, t)] = (n, val)
+    return [cache[(prob.name, float(t))] for t in times]
+
+
+def _check_ladder(prob, dt_list, T):
+    # Every cause a study would otherwise fail on after doing its work.
+    if len(dt_list) < 3:
+        raise ValueError("need >=3 dt values")
+    if len(set(dt_list)) != len(dt_list):
+        raise ValueError("duplicate dt values")
+    if not float(T) > prob.t0:
+        raise ValueError(f"T must exceed t0 = {prob.t0:g}")
+    for dt in dt_list:
+        _step_count(prob, dt, T)
 
 
 def converge(
@@ -100,30 +121,32 @@ def converge(
 ) -> ConvergenceReport:
     """Run the dt ladder and fit per-component global and LTE slopes.
 
+    The ladder needs at least three distinct positive dts that each reach
+    T > t0 in whole steps; this is checked before any integration.
     ref_cache, when supplied, is shared across calls so repeated studies of
     the same problem reuse their RK4 reference values.
     """
     dt_list = sorted((float(d) for d in dts), reverse=True)
-    if len(set(dt_list)) != len(dt_list):
-        raise ValueError("duplicate dt values")
+    _check_ladder(prob, dt_list, T)
     c_in = scheme.float_tables[2].tolist()
+    shape = (len(dt_list), scheme.s, prob.dim)  # per dt, one row per abscissa
+    ref_times = [float(T) + c * dt for dt in dt_list for c in c_in]
+
+    starts = [None] * len(dt_list)
+    if prob.exact is not None:
+        refs = np.array([prob.exact(t) for t in ref_times], dtype=float).reshape(shape)
+    else:
+        # One sweep serves the references at T + c dt and the starting rows.
+        start_times = [prob.t0 + c * dt for dt in dt_list for c in c_in]
+        found = _references(prob, ref_times + start_times, ref_cache)
+        refs, starts = np.array([val for _, val in found]).reshape((2, *shape))
+        max_ref_n = max(n for n, _ in found[: len(ref_times)])
 
     global_err: list[np.ndarray] = []
     lte: Optional[list[np.ndarray]] = [] if prob.exact is not None else None
-    max_ref_n = 0
-    for dt in dt_list:
-        traj = run_integration(scheme, prob, dt, T, final_only=True)
-        final = traj.final.values
-        err = np.empty(scheme.s)
-        for j in range(scheme.s):
-            tj = float(T) + c_in[j] * dt
-            if prob.exact is not None:
-                ref = np.asarray(prob.exact(tj), dtype=float)
-            else:
-                n_used, ref = _reference_at(prob, tj, ref_cache)
-                max_ref_n = max(max_ref_n, n_used)
-            err[j] = float(np.max(np.abs(final[j] - ref)))
-        global_err.append(err)
+    for dt, ref, start in zip(dt_list, refs, starts):
+        traj = run_integration(scheme, prob, dt, T, final_only=True, start=start)
+        global_err.append(np.abs(traj.final.values - ref).max(axis=1))
         if lte is not None:
             lte.append(measure_lte(scheme, prob, dt, T))
 

@@ -13,10 +13,16 @@ Also here: the built-in test problems P1-P4, starting-value bootstrap
 (exact solution when available, otherwise a fine classical RK4 sweep), a
 doubling-verified RK4 reference oracle, and measurement of the local
 truncation error of the exact solution under a scheme.
+
+The reference oracle serves any set of times in [t0, T] from one march:
+each time off the grid gets one partial RK4 step from the grid value just
+before it.  A convergence study thus takes its reference values and its
+starting rows (passed to integrate as `start`) from a single verified sweep.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,18 +207,30 @@ def integrate(
     T: float,
     final_only: bool = False,
     n_sub: int = 1000,
+    start: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """March the block from t0 until the abscissa-0 row sits at time T.
 
     dt may be a float or an exact Fraction; stepping always uses its double
     rendering.  Marching requires c_out = c_in + 1 (each step advances the
-    whole block by one dt), which all builtin schemes satisfy.
+    whole block by one dt), which all builtin schemes satisfy.  start, an
+    (s, dim) array with row j at t0 + c_in[j] * dt, replaces the bootstrap.
     """
     if any(scheme.c_out[i] - scheme.c_in[i] != 1 for i in range(scheme.s)):
         raise ValueError("scheme does not march: c_out must equal c_in + 1")
     n_steps = _step_count(prob, dt, T)
     dtf = float(dt)
-    state = bootstrap(scheme, prob, dtf, n_sub=n_sub)
+    if start is None:
+        state = bootstrap(scheme, prob, dtf, n_sub=n_sub)
+    else:
+        values = np.array(start, dtype=float)
+        if values.shape != (scheme.s, prob.dim):
+            raise ValueError(
+                f"start rows have shape {values.shape}, need {(scheme.s, prob.dim)}"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite state at step 0")
+        state = BlockState(n=0, t=prob.t0, values=values)
     blocks = [state]
     for _ in range(n_steps):
         state = step(scheme, prob, state, dtf)
@@ -223,27 +241,50 @@ def integrate(
     return Trajectory(dt=dtf, blocks=blocks)
 
 
-def rk4_reference(prob: Problem, T: float, n_steps: int) -> np.ndarray:
-    """Classical RK4 solution at T, verified by step doubling.
+def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
+    # One march of n steps on the grid t_k = t0 + k*h, with t_n = T.  Each
+    # time is served from the last grid point t_k <= t: the grid value when
+    # t_k == t, otherwise one partial step of length t - t_k.
+    t0 = prob.t0
+    h = (T - t0) / n
 
-    Runs n_steps and 2*n_steps; if the two disagree by 1e-12 or more the
-    reference is rejected so the caller can raise n_steps.
+    def grid(k):
+        return T if k == n else t0 + k * h
+
+    bases = [bisect.bisect_right(range(n + 1), t, key=grid) - 1 for t in times]
+    out = np.empty((len(times), prob.dim))
+    u = prob.u0.copy()
+    k = 0
+    for i in sorted(range(len(times)), key=bases.__getitem__):
+        while k < bases[i]:
+            u = _rk4_step(prob.rhs, t0 + k * h, u, h)
+            k += 1
+        tk = grid(k)
+        out[i] = u if times[i] == tk else _rk4_step(prob.rhs, tk, u, times[i] - tk)
+    return out
+
+
+def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarray:
+    """Classical RK4 solution at T, or one row per time in times, verified by
+    step doubling.
+
+    Marches n_steps and 2*n_steps over [t0, T]; each requested time lies in
+    [t0, T] and is served from the same march (see _rk4_sweep).  If the two
+    marches disagree by 1e-12 or more at any time the reference is rejected
+    so the caller can raise n_steps.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-
-    def run(n):
-        h = (float(T) - prob.t0) / n
-        u = prob.u0.copy()
-        for k in range(n):
-            u = _rk4_step(prob.rhs, prob.t0 + k * h, u, h)
-        return u
-
-    coarse = run(n_steps)
-    fine = run(2 * n_steps)
-    if float(np.max(np.abs(coarse - fine))) >= 1e-12:
+    T = float(T)
+    ts = [T] if times is None else [float(t) for t in times]
+    for t in ts:
+        if not prob.t0 <= t <= T:
+            raise ValueError(f"reference time {t!r} outside [t0, T] = [{prob.t0!r}, {T!r}]")
+    coarse = _rk4_sweep(prob, T, n_steps, ts)
+    fine = _rk4_sweep(prob, T, 2 * n_steps, ts)
+    if float(np.max(np.abs(coarse - fine), initial=0.0)) >= 1e-12:
         raise ValueError("reference not converged")
-    return fine
+    return fine[0] if times is None else fine
 
 
 def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:

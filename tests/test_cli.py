@@ -195,13 +195,13 @@ def test_integrate_misaligned_step(capsys):
 
 def test_integrate_rejects_non_positive_substep_count(capsys):
     for nsub in ("0", "-5"):
-        code, out, err = run(
-            capsys, "integrate", "--scheme", "S2", "--problem", "P2",
-            "--dt", "1/8", "--T", "1/4", "--nsub", nsub,
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--scheme", "S2", "--problem", "P2",
+                  "--dt", "1/8", "--T", "1/4", "--nsub", nsub])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "error: n_sub must be >= 1" in err
+        assert f"argument --nsub: must be >= 1, got {nsub}" in err
 
 
 def test_unknown_scheme(capsys):
@@ -286,6 +286,16 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for argv, complaint in (
+        (["truncation", "S2", "--pmax", "0"], "argument --pmax: must be >= 1, got 0"),
+        (["truncation", "S2", "--pmax", "two"], "argument --pmax: not an integer: 'two'"),
+        (["stability", "--scheme", "S2", "--n", "1"], "argument --n: must be >= 2, got 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert complaint in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -293,3 +303,4 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "blockstep" in capsys.readouterr().out
+

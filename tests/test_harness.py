@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 import subprocess
 from fractions import Fraction as F
@@ -115,6 +116,64 @@ def test_converge_without_exact_uses_verified_reference():
 def test_converge_rejects_duplicate_dts():
     with pytest.raises(ValueError, match="duplicate dt values"):
         converge(builtin("S2"), problem("P1"), dts=(0.125, 0.125, 0.0625))
+
+
+def _counting(prob):
+    calls = []
+
+    def rhs(t, u):
+        calls.append(t)
+        return prob.rhs(t, u)
+
+    return dataclasses.replace(prob, rhs=rhs), calls
+
+
+@pytest.mark.parametrize(
+    "dts, T, message",
+    [
+        ((0.125, 0.0625), 1.0, "need >=3 dt values"),
+        ((0.125, 0.0625, 0.03125), 0.0, "T must exceed t0"),
+        ((0.125, 0.0625, 0.03125), -1.0, "T must exceed t0"),
+        ((0.125, 0.0625, -0.03125), 1.0, "non-positive step"),
+        ((0.125, 0.0625, 0.0), 1.0, "non-positive step"),
+        ((0.125, 0.0625, 0.3), 1.0, "T not reachable with this dt"),
+    ],
+)
+def test_converge_checks_the_ladder_before_any_work(dts, T, message):
+    for name in ("P1", "P2"):
+        prob, calls = _counting(problem(name))
+        with pytest.raises(ValueError, match=message):
+            converge(builtin("S3A"), prob, dts=dts, T=T)
+        assert calls == [], name
+
+
+@pytest.mark.parametrize("scheme", ["S2", "S3A"])
+@pytest.mark.parametrize("name", ["P1", "P3", "P4"])
+def test_sweep_reference_matches_a_hidden_closed_form(scheme, name):
+    # With its closed form hidden, a problem takes the RK4 sweep for both
+    # references and starting rows; the errors must match the exact run.
+    prob = problem(name)
+    hidden = dataclasses.replace(prob, exact=None, name=name + "-hidden")
+    known = converge(builtin(scheme), prob)
+    swept = converge(builtin(scheme), hidden)
+    assert swept.reference.startswith("rk4 (doubling-verified")
+    for a, b in zip(known.global_err, swept.global_err):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_converge_reuses_cached_times_and_sweeps_the_rest():
+    cache = {}
+    converge(builtin("S2"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)),
+             ref_cache=cache)
+    first = dict(cache)
+    # S2 times: T + c dt and t0 + c dt, c in (1/2, 0), for 3 dts; T and t0 shared
+    assert len(first) == 8
+    prob, calls = _counting(problem("P2"))
+    converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 32)), ref_cache=cache)
+    assert len(calls) == 2 * (8 + 16 + 32)  # the scheme's own steps, no sweep
+    converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 64)), ref_cache=cache)
+    assert len(cache) == 10
+    assert all(cache[k] is v for k, v in first.items())
 
 
 def test_converge_slope_is_stable_under_refinement():

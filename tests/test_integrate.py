@@ -244,6 +244,70 @@ def test_rk4_reference_rejects_unconverged_runs():
         rk4_reference(problem("P1"), 1.0, 0)
 
 
+def test_rk4_reference_serves_requested_times_like_separate_runs():
+    # Off-grid times, t0, T, unsorted, with a duplicate: one sweep agrees
+    # with a separate scalar reference per time.
+    times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
+    for name in ("P1", "P2"):
+        prob = problem(name)
+        rows = rk4_reference(prob, 1.0, 2048, times=times)
+        assert rows.shape == (len(times), prob.dim)
+        for t, row in zip(times[:4], rows):
+            alone = rk4_reference(prob, t, 2048)
+            assert np.max(np.abs(row - alone)) < 1e-12, (name, t)
+        assert np.array_equal(rows[0], rows[4])
+        assert np.array_equal(rows[2], prob.u0)
+
+
+def test_rk4_reference_grid_times_get_the_grid_value():
+    # 0.5 is grid point 512 of 1024 (coarse) and 1024 of 2048 (fine): the
+    # same march as a reference to 0.5 with half the steps, bit for bit,
+    # and partial steps served on the way do not advance the march.
+    prob = problem("P2")
+    alone = rk4_reference(prob, 0.5, 512)
+    rows = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7])
+    assert np.array_equal(rows[1], alone)
+    assert np.array_equal(rk4_reference(prob, 1.0, 1024, times=[1.0])[0],
+                          rk4_reference(prob, 1.0, 1024))
+
+
+def test_rk4_reference_checks_every_requested_time():
+    # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
+    # proportional to the fourth derivative 120 (t - 1/2) at the step's
+    # midpoint, so the errors cancel at T = 1 but not at t = 1/2.
+    prob = make_problem("quintic", 1, lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
+    assert abs(rk4_reference(prob, 1.0, 4)[0]) < 1e-15
+    with pytest.raises(ValueError, match="reference not converged"):
+        rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
+
+
+def test_rk4_reference_rejects_times_outside_the_span():
+    prob = problem("P1")
+    for t in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            rk4_reference(prob, 1.0, 2048, times=[0.5, t])
+
+
+def test_integrate_takes_given_start_rows():
+    sch, prob = builtin("S3A"), problem("P1")
+    rows = bootstrap(sch, prob, 0.125).values
+    given = integrate(sch, prob, 0.125, 1.0, start=rows)
+    booted = integrate(sch, prob, 0.125, 1.0)
+    for a, b in zip(given.blocks, booted.blocks):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_integrate_rejects_bad_start_rows():
+    sch, prob = builtin("S2"), problem("P2")
+    with pytest.raises(ValueError, match=r"start rows have shape \(3, 2\), need \(2, 2\)"):
+        integrate(sch, prob, 0.125, 1.0, start=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="start rows have shape"):
+        integrate(sch, prob, 0.125, 1.0, start=np.zeros(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite state at step 0"):
+            integrate(sch, prob, 0.125, 1.0, start=[[bad, 0.0], [2.0, 0.0]])
+
+
 def test_lte_needs_an_exact_solution():
     with pytest.raises(ValueError, match="missing exact solution"):
         measure_lte(builtin("S3A"), problem("P2"), F(1, 16), 1.0)
