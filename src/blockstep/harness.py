@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import Problem, _step_count, measure_lte, rk4_reference
+from .integrate import NonFiniteReference, Problem, _step_count, measure_lte, rk4_reference
 from .integrate import integrate as run_integration
 from .scheme import Scheme
 
@@ -91,9 +91,9 @@ def _references(prob, times, cache):
             try:
                 vals = rk4_reference(prob, missing[-1], n, times=missing)
                 break
-            except ValueError:
+            except ValueError as exc:
                 n *= 2
-                if n > _REF_LIMIT:
+                if n > _REF_LIMIT or isinstance(exc, NonFiniteReference):
                     raise
         for t, val in zip(missing, vals):
             cache[(prob.name, t)] = (n, val)
@@ -134,7 +134,7 @@ def converge(
 
     starts = [None] * len(dt_list)
     if prob.exact is not None:
-        refs = np.array([prob.exact(t) for t in ref_times], dtype=float).reshape(shape)
+        refs = np.asarray(prob.exact(np.array(ref_times)), dtype=float).T.reshape(shape)
     else:
         # One sweep serves the references at T + c dt and the starting rows.
         start_times = [prob.t0 + c * dt for dt in dt_list for c in c_in]

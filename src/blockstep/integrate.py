@@ -5,14 +5,14 @@ t_n + c_in[j] * dt.  One step maps the block to
 
     V_{n+1} = A V_n + dt * B * F(V_n)
 
-where F applies the right-hand side rowwise at each row's own time.  The
-exact rational matrices are read through Scheme.float_tables, rendered to
-double once per scheme, so runs are bitwise reproducible.
+where F evaluates the right-hand side on the whole block in one call (see
+Problem).  The exact rational matrices are read through Scheme.float_tables,
+rendered to double once per scheme, so runs are bitwise reproducible.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap
 (exact solution when available, otherwise a fine classical RK4 sweep), a
 doubling-verified RK4 reference oracle, and measurement of the local
-truncation error of the exact solution under a scheme.
+truncation error of the exact solution under a scheme, over all steps at once.
 
 The reference oracle serves any set of times in [t0, T] from one march:
 each time off the grid gets one partial RK4 step from the grid value just
@@ -35,23 +35,36 @@ from .scheme import Scheme
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """An ODE initial-value problem u' = rhs(t, u), u(t0) = u0."""
+    """ODE initial-value problem u' = rhs(t, u), u(t0) = u0, batched component
+    axis first: rhs maps u of shape (dim,) at a scalar t, or (dim, k) at t of
+    shape (k,), to an array of u's shape; exact(t) has shape (dim,) + np.shape(t)."""
 
     name: str
     dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    exact: Optional[Callable[[float], np.ndarray]]
+    rhs: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
+    exact: Optional[Callable[[float | np.ndarray], np.ndarray]]
     u0: np.ndarray
     t0: float = 0.0
 
 
 def make_problem(name, dim, rhs, exact, u0, t0=0.0) -> Problem:
+    """A Problem whose exact(t0) matches u0 and whose rhs and exact keep the batch contract."""
     u0 = np.array(u0, dtype=float).reshape(dim)
     u0.setflags(write=False)
+    ts = np.full(dim + 1, float(t0))  # never square: a transposed result cannot pass
+    probes = {"rhs": lambda: rhs(ts, u0[:, None] + 0 * ts)}
     if exact is not None:
         err = float(np.max(np.abs(np.asarray(exact(t0), dtype=float) - u0)))
         if err > 1e-14:
             raise ValueError(f"exact(t0) does not match u0 (difference {err:g})")
+        probes["exact"] = lambda: exact(ts)
+    for what, probe in probes.items():
+        try:
+            got = getattr(probe(), "shape", "a non-array")
+        except (TypeError, ValueError, IndexError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        if got != (dim, dim + 1):
+            raise ValueError(f"{what} breaks the batch contract: got {got}, need {(dim, dim + 1)}")
     return Problem(name=name, dim=dim, rhs=rhs, exact=exact, u0=u0, t0=float(t0))
 
 
@@ -81,7 +94,7 @@ def make_dahlquist(lam: float = -1.0) -> Problem:
         "P3",
         1,
         lambda t, u: lam * u,
-        lambda t: np.array([math.exp(lam * t)]),
+        lambda t: np.array([np.exp(lam * t)]),
         [1.0],
     )
 
@@ -91,8 +104,8 @@ def make_p4() -> Problem:
     return make_problem(
         "P4",
         1,
-        lambda t, u: math.cos(t) * u,
-        lambda t: np.array([math.exp(math.sin(t))]),
+        lambda t, u: np.cos(t) * u,
+        lambda t: np.array([np.exp(np.sin(t))]),
         [1.0],
     )
 
@@ -128,12 +141,12 @@ class Trajectory:
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
     A, B, c_in, _ = scheme.float_tables
-    F = np.empty_like(state.values)
-    for j in range(scheme.s):
-        F[j] = prob.rhs(state.t + c_in[j] * dt, state.values[j])
+    F = prob.rhs(state.t + c_in * dt, state.values.T).T  # one call, rows as columns
+    if F.shape != state.values.shape:
+        raise ValueError(f"rhs breaks the batch contract: {F.T.shape} for {state.values.T.shape}")
     if not np.isfinite(F).all():
         raise ValueError(f"non-finite state at step {state.n + 1}")
-    values = A @ state.values + dt * (B @ F)
+    values = A.dot(state.values) + dt * B.dot(F)  # .dot: under half of @'s cost at this size
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite state at step {state.n + 1}")
     # Block time from the step count: summing dt would drift for non-dyadic dt.
@@ -160,14 +173,12 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
         raise ValueError("non-positive step")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    s, m = scheme.s, prob.dim
-    c_in = scheme.float_tables[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
-    values = np.empty((s, m))
+    s = scheme.s
     if prob.exact is not None:
-        for j in range(s):
-            tj = prob.t0 + c_in[j] * dt
-            values[j] = np.asarray(prob.exact(tj), dtype=float)
+        values = prob.exact(prob.t0 + scheme.float_tables[2] * dt).T.copy()  # C order, (s, dim)
     else:
+        c_in = scheme.float_tables[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
+        values = np.empty((s, prob.dim))
         u = prob.u0.copy()
         values[s - 1] = u
         c_prev = 0.0
@@ -264,6 +275,10 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     return out
 
 
+class NonFiniteReference(ValueError):
+    """An RK4 reference march produced a non-finite value."""
+
+
 def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarray:
     """Classical RK4 solution at T, or one row per time in times, verified by
     step doubling.
@@ -271,7 +286,7 @@ def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarr
     Marches n_steps and 2*n_steps over [t0, T]; each requested time lies in
     [t0, T] and is served from the same march (see _rk4_sweep).  If the two
     marches disagree by 1e-12 or more at any time the reference is rejected
-    so the caller can raise n_steps.
+    so the caller can raise n_steps; NonFiniteReference if either is not finite.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -282,6 +297,8 @@ def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarr
             raise ValueError(f"reference time {t!r} outside [t0, T] = [{prob.t0!r}, {T!r}]")
     coarse = _rk4_sweep(prob, T, n_steps, ts)
     fine = _rk4_sweep(prob, T, 2 * n_steps, ts)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+        raise NonFiniteReference("non-finite RK4 reference")
     if float(np.max(np.abs(coarse - fine), initial=0.0)) >= 1e-12:
         raise ValueError("reference not converged")
     return fine[0] if times is None else fine
@@ -298,15 +315,8 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
     n_steps = _step_count(prob, dt, T)
     dtf = float(dt)
     A, B, c_in, c_out = scheme.float_tables
-    s, m = scheme.s, prob.dim
-    worst = np.zeros(s)
-    for n in range(n_steps):
-        tn = prob.t0 + n * dtf
-        U = np.array([np.asarray(prob.exact(tn + c * dtf), dtype=float) for c in c_in])
-        U1 = np.array([np.asarray(prob.exact(tn + c * dtf), dtype=float) for c in c_out])
-        F = np.empty((s, m))
-        for j in range(s):
-            F[j] = prob.rhs(tn + c_in[j] * dtf, U[j])
-        tau = (U1 - A @ U - dtf * (B @ F)) / dtf
-        worst = np.maximum(worst, np.abs(tau).max(axis=1))
-    return worst
+    tn = prob.t0 + np.arange(n_steps)[:, None] * dtf  # one row per step
+    U, U1 = prob.exact(tn + c_in * dtf), prob.exact(tn + c_out * dtf)  # (dim, N, s)
+    F = prob.rhs((tn + c_in * dtf).ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
+    tau = (U1 - U @ A.T - dtf * (F @ B.T)) / dtf
+    return np.abs(tau).max(axis=(0, 1), initial=0.0)

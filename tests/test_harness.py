@@ -14,7 +14,8 @@ from blockstep.harness import (
     emit_plot_script,
     fit_slope,
 )
-from blockstep.integrate import problem
+from blockstep import harness
+from blockstep.integrate import NonFiniteReference, make_problem, problem
 from blockstep.scheme import builtin
 
 
@@ -170,10 +171,27 @@ def test_converge_reuses_cached_times_and_sweeps_the_rest():
     assert len(first) == 8
     prob, calls = _counting(problem("P2"))
     converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 32)), ref_cache=cache)
-    assert len(calls) == 2 * (8 + 16 + 32)  # the scheme's own steps, no sweep
+    assert len(calls) == 8 + 16 + 32  # one rhs call per step of the scheme, no sweep
     converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 64)), ref_cache=cache)
     assert len(cache) == 10
     assert all(cache[k] is v for k, v in first.items())
+
+
+def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
+    # The pole of u' = -u^2, u(0) = -1 at t = 1 lies before T = 2: doubling
+    # the steps cannot help, so the first sweep's error ends the study.
+    sweeps, sweep = [], harness.rk4_reference
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "rk4_reference", counted)
+    prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteReference):
+            converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125), T=2.0)
+    assert sweeps == [2048]
 
 
 def test_converge_slope_is_stable_under_refinement():

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from blockstep.harness import STANDARD_DTS
 from blockstep.integrate import (
     PROBLEM_NAMES,
+    BlockState,
+    NonFiniteReference,
     bootstrap,
     integrate,
     make_dahlquist,
@@ -24,8 +28,8 @@ def _constant_problem(value=1.0):
     return make_problem(
         "const",
         1,
-        lambda t, u: np.zeros(1),
-        lambda t: np.array([value]),
+        lambda t, u: np.zeros_like(u),
+        lambda t: np.full((1,) + np.shape(t), value),
         [value],
     )
 
@@ -60,6 +64,35 @@ def test_make_problem_rejects_inconsistent_anchor():
         make_problem("bad", 1, lambda t, u: u, lambda t: np.array([2.0]), [1.0])
 
 
+@pytest.mark.parametrize(
+    "dim, rhs, exact",
+    [
+        (1, lambda t, u: math.cos(t) * u, None),  # raises on a batch
+        (1, lambda t, u: np.array([-u[0, 0] ** 2]), None),  # one column only
+        (2, lambda t, u: u.T, None),  # transposed result
+        (1, lambda t, u: -u, lambda t: np.array([math.exp(-t)])),  # exact not batched
+        (1, lambda t, u: -u, lambda t: np.exp(-np.atleast_1d(t))),  # exact drops the axis
+    ],
+)
+def test_make_problem_rejects_a_broken_batch_contract(dim, rhs, exact):
+    with pytest.raises(ValueError, match="breaks the batch contract"):
+        make_problem("unbatched", dim, rhs, exact, [1.0] * dim)
+
+
+def test_step_rejects_a_wrapper_that_breaks_the_batch_contract():
+    # dataclasses.replace bypasses make_problem's probe; step checks F.
+    prob = problem("P2")
+    bad = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u).T)
+    sch = builtin("S3A")  # s = 3 against dim = 2: the transpose shows
+    state = bootstrap(sch, prob, 0.125)
+    msg = r"batch contract: \(3, 2\) for \(2, 3\)"
+    with pytest.raises(ValueError, match=msg):
+        step(sch, bad, state, 0.125)
+    bad = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u)[:, :1])
+    with pytest.raises(ValueError, match="batch contract"):
+        step(sch, bad, state, 0.125)
+
+
 def test_initial_value_is_read_only():
     with pytest.raises(ValueError):
         problem("P1").u0[0] = 3.0
@@ -82,6 +115,29 @@ def test_long_run_constancy_drift_stays_within_budget():
         traj = integrate(sch, prob, F(1, n), 1.0, final_only=True)
         drift = np.max(np.abs(traj.final.values - 1.0))
         assert drift <= n * sch.s * EPS, name
+
+
+def test_batched_step_equals_a_per_row_rhs_evaluation():
+    # One rhs call on the block's columns against s calls on its rows and
+    # the @ combine: the same arithmetic, so bit-identical.  P2 is
+    # autonomous; the forced oscillator also checks each row's time.
+    forced = make_problem(
+        "forced", 2, lambda t, u: np.array([t * u[1], -(1.0 + t * t) * u[0]]), None, [1.0, 0.0]
+    )
+    rng = np.random.default_rng(6)
+    for prob in (problem("P2"), forced):
+        for name in BUILTIN_NAMES:
+            sch = builtin(name)
+            A, B, c_in, _ = sch.float_tables
+            for dt in (0.125, 1 / 3, 0.0078125):
+                for n in range(20):
+                    V = rng.uniform(-3.0, 3.0, size=(sch.s, 2))
+                    state = bootstrap(sch, prob, dt) if n == 0 else BlockState(n, n * dt, V)
+                    V = state.values
+                    F_rows = np.array([prob.rhs(state.t + c * dt, v) for c, v in zip(c_in, V)])
+                    oracle = A @ V + dt * (B @ F_rows)
+                    after = step(sch, prob, state, dt).values
+                    assert np.array_equal(after, oracle), (prob.name, name, dt, n)
 
 
 def test_dahlquist_step_is_the_amplification_matrix():
@@ -117,7 +173,11 @@ def test_step_matches_hand_rolled_arithmetic():
 
 def test_step_flags_non_finite_immediately():
     prob = make_problem(
-        "burst", 1, lambda t, u: np.array([np.inf]), lambda t: np.array([1.0]), [1.0]
+        "burst",
+        1,
+        lambda t, u: np.full_like(u, np.inf),
+        lambda t: np.ones((1,) + np.shape(t)),
+        [1.0],
     )
     sch = builtin("S2")
     state = bootstrap(sch, prob, 0.1)
@@ -281,6 +341,18 @@ def test_rk4_reference_checks_every_requested_time():
         rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
 
 
+def test_rk4_reference_rejects_a_non_finite_march():
+    # u' = -u^2, u(0) = -1 has a pole at t = 1: the march overflows, and the
+    # doubling test alone would pass it (NaN >= 1e-12 is False).
+    prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteReference, match="non-finite RK4 reference"):
+            rk4_reference(prob, 2.0, 8)
+        with pytest.raises(NonFiniteReference):
+            rk4_reference(prob, 2.0, 2048, times=[0.5, 1.5])
+    assert issubclass(NonFiniteReference, ValueError)
+
+
 def test_rk4_reference_rejects_times_outside_the_span():
     prob = problem("P1")
     for t in (-0.1, 1.1, math.nan):
@@ -306,6 +378,40 @@ def test_integrate_rejects_bad_start_rows():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite state at step 0"):
             integrate(sch, prob, 0.125, 1.0, start=[[bad, 0.0], [2.0, 0.0]])
+
+
+def _measure_lte_rows(scheme, prob, dt, T):
+    # The row-loop measure_lte the batched one replaced, kept as its oracle:
+    # scalar exact and single-state rhs calls, one step at a time.  Returns
+    # the per-component max |tau| and the largest |u| it saw.
+    dtf = float(dt)
+    A, B, c_in, c_out = scheme.float_tables
+    worst, umax = np.zeros(scheme.s), 0.0
+    for n in range(round((T - prob.t0) / dtf)):
+        tn = prob.t0 + n * dtf
+        U = np.array([prob.exact(tn + c * dtf) for c in c_in])
+        U1 = np.array([prob.exact(tn + c * dtf) for c in c_out])
+        F = np.array([prob.rhs(tn + c_in[j] * dtf, U[j]) for j in range(scheme.s)])
+        tau = (U1 - A @ U - dtf * (B @ F)) / dtf
+        worst = np.maximum(worst, np.abs(tau).max(axis=1))
+        umax = max(umax, np.abs(U).max(), np.abs(U1).max())
+    return worst, umax
+
+
+@pytest.mark.parametrize("T", [1.0, 4.0])
+@pytest.mark.parametrize("name", ["P1", "P3", "P4"])
+def test_batched_lte_matches_the_row_loop(name, T):
+    # Vectorised exp differs from math.exp by an ulp on some arguments, and
+    # tau divides a cancellation by dt: bound 16 eps max|u| / dt, set from
+    # the dtype (8 eps / dt was the largest difference seen).
+    prob = problem(name)
+    for sch_name in BUILTIN_NAMES:
+        sch = builtin(sch_name)
+        for dt in STANDARD_DTS:
+            rows, umax = _measure_lte_rows(sch, prob, dt, T)
+            batched = measure_lte(sch, prob, dt, T)
+            assert batched.shape == (sch.s,)
+            assert np.max(np.abs(batched - rows)) <= 16 * EPS * umax / dt, (sch_name, dt)
 
 
 def test_lte_needs_an_exact_solution():
