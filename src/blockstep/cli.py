@@ -174,8 +174,6 @@ def _abscissae(args, n_components: int):
 
 def cmd_derive(args) -> int:
     a = args.a
-    if args.s is not None and args.s != len(a):
-        raise ValueError(f"--s {args.s} disagrees with --a of length {len(a)}")
     c_in, c_out = _abscissae(args, len(a))
     result = derive.derive_scheme(a, c_in, c_out)
     scheme = derive.assemble(a, c_in, c_out)
@@ -193,6 +191,8 @@ def cmd_derive(args) -> int:
 def cmd_search(args) -> int:
     lo, hi = args.range
     if args.s == 2:
+        if args.fix is not None:
+            raise ValueError("--fix applies only to --s 3")
         c_in, c_out = _abscissae(args, 2)
         roots = derive.search_s2(c_in, c_out, (lo, hi))
     else:
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("derive", help="solve the order conditions for B given the row a")
     q.add_argument("--a", type=_rat_list, required=True, help="comma-separated rationals")
-    q.add_argument("--s", type=int, help="block size (checked against --a)")
     q.add_argument("--cin", type=_rat_list, help="input abscissae (default (s-1)/s,...,0)")
     q.add_argument("--cout", type=_rat_list, help="output abscissae (default cin + 1)")
     q.add_argument("--out", help="write the assembled scheme JSON here")

@@ -4,8 +4,8 @@ All scheme algebra in this package is carried out over arbitrary-precision
 rationals so that order conditions and eigenstructure checks are decided by
 exact equality, never by floating-point tolerance.  The stdlib
 :class:`fractions.Fraction` already provides a canonical rational (positive
-denominator, reduced terms, exact arithmetic), so it is used directly as the
-Rational type; this module adds the vector/matrix layer on top of it.
+denominator, reduced terms, exact arithmetic); this module adds the
+vector/matrix layer on top of it.
 
 Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Rational = Fraction
 ExactVector = tuple[Fraction, ...]
 ExactMatrix = tuple[tuple[Fraction, ...], ...]
 

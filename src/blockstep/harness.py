@@ -7,10 +7,11 @@ the local truncation error is measured as well.  Log-log slopes quantify the
 orders: an error-inhibiting scheme shows a global slope one above its LTE
 slope, a plain scheme shows equal slopes.
 
-Without a closed form, one doubling-verified RK4 sweep per study serves
-every time the study needs: the reference values at T + c_j dt and the
-starting rows at t0 + c_j dt, for every dt of the ladder.  The ladder is
-checked before any of that work starts.
+Each study makes one oracle call for every time it needs: the reference
+values at T + c_j dt and the starting rows at t0 + c_j dt, for every dt of
+the ladder.  The oracle is the closed form when there is one, otherwise one
+doubling-verified RK4 sweep.  Nothing is kept between studies.  The ladder
+is checked before any of that work starts.
 """
 
 from __future__ import annotations
@@ -76,28 +77,34 @@ def fit_slope(points) -> float:
     return float(dx @ dy / (dx @ dx))
 
 
-def _references(prob, times, cache):
-    """(n_steps, value) of the RK4 reference at each time.
+def _oracle(prob, times):
+    """(values, provenance) at each time, one row per time.
 
-    Times missing from cache, a dict mapping (problem name, t) to
-    (n_steps, value), come from one sweep up to the largest of them; n_steps
-    doubles from _REF_START until the doubling check passes at every time.
+    A closed form is evaluated once on all times.  Otherwise one RK4 sweep up
+    to the largest time serves them all, in any order and with repeats; its
+    n_steps doubles from _REF_START until the doubling check passes at every
+    time.
     """
-    cache = {} if cache is None else cache
-    missing = sorted({float(t) for t in times if (prob.name, float(t)) not in cache})
-    if missing:
-        n = _REF_START
-        while True:
-            try:
-                vals = rk4_reference(prob, missing[-1], n, times=missing)
-                break
-            except ValueError as exc:
-                n *= 2
-                if n > _REF_LIMIT or isinstance(exc, NonFiniteReference):
-                    raise
-        for t, val in zip(missing, vals):
-            cache[(prob.name, t)] = (n, val)
-    return [cache[(prob.name, float(t))] for t in times]
+    if prob.exact is not None:
+        return np.asarray(prob.exact(np.array(times)), dtype=float).T, "exact"
+    n = _REF_START
+    while True:
+        try:
+            values = rk4_reference(prob, max(times), n, times=times)
+            return values, f"rk4 (doubling-verified, n_steps up to {n})"
+        except ValueError as exc:
+            n *= 2
+            if n > _REF_LIMIT or isinstance(exc, NonFiniteReference):
+                raise
+
+
+def _slopes(dts, rows):
+    """Per-component and max-norm slopes of per-dt error rows; None for None."""
+    if rows is None:
+        return None, None
+    errs = np.array(rows)  # (n_dt, s)
+    per_component = np.array([fit_slope(zip(dts, col)) for col in errs.T])
+    return per_component, fit_slope(zip(dts, errs.max(axis=1)))
 
 
 def _check_ladder(prob, dt_list, T):
@@ -112,74 +119,34 @@ def _check_ladder(prob, dt_list, T):
         _step_count(prob, dt, T)
 
 
-def converge(
-    scheme: Scheme,
-    prob: Problem,
-    dts=STANDARD_DTS,
-    T: float = 1.0,
-    ref_cache: Optional[dict] = None,
-) -> ConvergenceReport:
+def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) -> ConvergenceReport:
     """Run the dt ladder and fit per-component global and LTE slopes.
 
     The ladder needs at least three distinct positive dts that each reach
-    T > t0 in whole steps; this is checked before any integration.
-    ref_cache, when supplied, is shared across calls so repeated studies of
-    the same problem reuse their RK4 reference values.
+    T > t0 in whole steps; this is checked before any integration.  One
+    oracle call gives the references and the starting rows of every run.
     """
     dt_list = sorted((float(d) for d in dts), reverse=True)
     _check_ladder(prob, dt_list, T)
     c_in = scheme.float_tables[2].tolist()
-    shape = (len(dt_list), scheme.s, prob.dim)  # per dt, one row per abscissa
-    ref_times = [float(T) + c * dt for dt in dt_list for c in c_in]
+    ends = [float(T) + c * dt for dt in dt_list for c in c_in]
+    begins = [prob.t0 + c * dt for dt in dt_list for c in c_in]
+    values, reference = _oracle(prob, ends + begins)
+    # per half, per dt, one row per abscissa
+    refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))
 
-    starts = [None] * len(dt_list)
-    if prob.exact is not None:
-        refs = np.asarray(prob.exact(np.array(ref_times)), dtype=float).T.reshape(shape)
-    else:
-        # One sweep serves the references at T + c dt and the starting rows.
-        start_times = [prob.t0 + c * dt for dt in dt_list for c in c_in]
-        found = _references(prob, ref_times + start_times, ref_cache)
-        refs, starts = np.array([val for _, val in found]).reshape((2, *shape))
-        max_ref_n = max(n for n, _ in found[: len(ref_times)])
-
-    global_err: list[np.ndarray] = []
-    lte: Optional[list[np.ndarray]] = [] if prob.exact is not None else None
+    global_err = []
     for dt, ref, start in zip(dt_list, refs, starts):
         traj = run_integration(scheme, prob, dt, T, final_only=True, start=start)
         global_err.append(np.abs(traj.final.values - ref).max(axis=1))
-        if lte is not None:
-            lte.append(measure_lte(scheme, prob, dt, T))
+    lte = [measure_lte(scheme, prob, dt, T) for dt in dt_list] if prob.exact is not None else None
+    global_slopes, maxnorm_global = _slopes(dt_list, global_err)
+    lte_slopes, maxnorm_lte = _slopes(dt_list, lte)
 
-    global_slopes = np.array(
-        [
-            fit_slope([(d, e[j]) for d, e in zip(dt_list, global_err)])
-            for j in range(scheme.s)
-        ]
-    )
-    maxnorm_global = fit_slope(
-        [(d, float(np.max(e))) for d, e in zip(dt_list, global_err)]
-    )
-    lte_slopes = None
-    maxnorm_lte = None
-    if lte is not None:
-        lte_slopes = np.array(
-            [
-                fit_slope([(d, v[j]) for d, v in zip(dt_list, lte)])
-                for j in range(scheme.s)
-            ]
-        )
-        maxnorm_lte = fit_slope([(d, float(np.max(v))) for d, v in zip(dt_list, lte)])
-
-    order = analysis.truncation_order(scheme)
-    reference = (
-        "exact"
-        if prob.exact is not None
-        else f"rk4 (doubling-verified, n_steps up to {max_ref_n})"
-    )
     return ConvergenceReport(
         scheme_name=scheme.name,
         problem_name=prob.name,
-        q=order.q,
+        q=analysis.truncation_order(scheme).q,
         dts=dt_list,
         global_err=global_err,
         lte=lte,

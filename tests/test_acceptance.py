@@ -27,8 +27,6 @@ from _oracle_util import (
     taylor_residual_on_polynomial,
 )
 
-_REF_CACHE: dict = {}
-
 
 def _gate(num, desc, ok, elapsed, budget):
     line = (
@@ -124,7 +122,7 @@ def test_acceptance_5_fourth_order_on_van_der_pol():
     slopes = {}
     ok = True
     for name in ("S3A", "S3B", "S3C"):
-        rep = converge(builtin(name), problem("P2"), dts=dts, ref_cache=_REF_CACHE)
+        rep = converge(builtin(name), problem("P2"), dts=dts)
         slopes[name] = rep.maxnorm_global_slope
         ok = ok and abs(rep.maxnorm_global_slope - 4.0) <= 0.25
         ok = ok and rep.reference.startswith("rk4 (doubling-verified")

@@ -115,15 +115,15 @@ def test_derive_prints_and_saves(tmp_path, capsys):
 
 
 def test_derive_default_abscissae_follow_block_size(capsys):
-    code, out, err = run(capsys, "derive", "--a=-1/6,7/6", "--s", "2")
+    code, out, err = run(capsys, "derive", "--a=-1/6,7/6")
     assert code == 0
     assert "c_in = (1/2, 0), c_out = (3/2, 1)" in out
 
 
 def test_derive_size_mismatch(capsys):
-    code, out, err = run(capsys, "derive", "--a=-1/6,7/6", "--s", "3")
+    code, out, err = run(capsys, "derive", "--a=-1/6,7/6", "--cin=2/3,1/3,0")
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error: dimension mismatch")
 
 
 def test_search_s2_finds_the_known_root(tmp_path, capsys):
@@ -155,6 +155,13 @@ def test_search_s3_requires_fix(capsys):
     code, out, err = run(capsys, "search", "--s", "3")
     assert code == 1
     assert "--fix" in err
+
+
+def test_search_s2_rejects_fix(capsys):
+    code, out, err = run(capsys, "search", "--s", "2", "--fix", "0=1/4")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --fix applies only to --s 3\n"
 
 
 def test_integrate_writes_trajectory(tmp_path, capsys):

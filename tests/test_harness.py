@@ -96,21 +96,12 @@ def test_converge_gap_holds_on_other_exact_problems():
 
 
 def test_converge_without_exact_uses_verified_reference():
-    cache = {}
-    rep = converge(
-        builtin("S3A"),
-        problem("P2"),
-        dts=(F(1, 8), F(1, 16), F(1, 32)),
-        ref_cache=cache,
-    )
+    rep = converge(builtin("S3A"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)))
     assert rep.lte is None and rep.lte_slopes is None
     assert rep.maxnorm_lte_slope is None
     assert rep.reference.startswith("rk4 (doubling-verified")
     assert 3.75 <= rep.maxnorm_global_slope <= 4.25
-    assert cache  # reference values were recorded for reuse
-    again = converge(
-        builtin("S3A"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)), ref_cache=cache
-    )
+    again = converge(builtin("S3A"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)))
     assert again.maxnorm_global_slope == rep.maxnorm_global_slope
 
 
@@ -162,19 +153,20 @@ def test_sweep_reference_matches_a_hidden_closed_form(scheme, name):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_converge_reuses_cached_times_and_sweeps_the_rest():
-    cache = {}
-    converge(builtin("S2"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)),
-             ref_cache=cache)
-    first = dict(cache)
-    # S2 times: T + c dt and t0 + c dt, c in (1/2, 0), for 3 dts; T and t0 shared
-    assert len(first) == 8
-    prob, calls = _counting(problem("P2"))
-    converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 32)), ref_cache=cache)
-    assert len(calls) == 8 + 16 + 32  # one rhs call per step of the scheme, no sweep
-    converge(builtin("S2"), prob, dts=(F(1, 8), F(1, 16), F(1, 64)), ref_cache=cache)
-    assert len(cache) == 10
-    assert all(cache[k] is v for k, v in first.items())
+def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
+    # One call serves every reference and starting row; measure_lte makes
+    # two per dt (one per block side).
+    prob = problem("P4")
+    calls = []
+
+    def exact(t):
+        calls.append(t)
+        return prob.exact(t)
+
+    dts = (0.125, 0.0625, 0.03125, 0.015625)
+    converge(builtin("S3A"), dataclasses.replace(prob, exact=exact), dts=dts)
+    assert len(calls) == 1 + 2 * len(dts)
+    assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and t0 + c dt, c in c_in
 
 
 def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
@@ -218,10 +210,7 @@ def test_emit_csv_round_trips(tmp_path):
 
 
 def test_emit_csv_omits_lte_without_exact(tmp_path):
-    cache = {}
-    rep = converge(
-        builtin("S2"), problem("P2"), dts=(0.125, 0.0625, 0.03125), ref_cache=cache
-    )
+    rep = converge(builtin("S2"), problem("P2"), dts=(0.125, 0.0625, 0.03125))
     path = tmp_path / "p2.csv"
     emit_csv(rep, path)
     header = path.read_text().split("\n", 1)[0]
