@@ -102,18 +102,15 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _condition_line(label: str, rec: analysis.ConditionRecord) -> str:
-    if rec.passed is None:
-        return f"{label} NOT EVALUATED (requires C1 and C2)"
-    if label == "C1":
-        detail = f"rank={rec.witness}"
-    elif label == "C2":
-        detail = f"row_sums={_vec_str(rec.witness)}"
-    elif label == "C3":
-        detail = f"trace={rat_str(rec.witness)}"
-    else:
-        detail = f"eis_residual={rat_str(rec.witness)}"
-    return f"{label} {rec.status} {detail}"
+_WITNESS_NAMES = {"C1": "rank", "C2": "row_sums", "C3": "trace", "C4": "eis_residual"}
+
+
+def _witness(w):
+    if isinstance(w, tuple):
+        return _vec_str(w)
+    if isinstance(w, Fraction):
+        return rat_str(w)
+    return w
 
 
 def cmd_verify(args) -> int:
@@ -125,18 +122,7 @@ def cmd_verify(args) -> int:
         doc = {
             "scheme": rep.scheme_name,
             "conditions": {
-                label: {
-                    "status": rec.status,
-                    "witness": None
-                    if rec.witness is None
-                    else (
-                        _vec_str(rec.witness)
-                        if isinstance(rec.witness, tuple)
-                        else rat_str(rec.witness)
-                        if isinstance(rec.witness, Fraction)
-                        else rec.witness
-                    ),
-                }
+                label: {"status": rec.status, "witness": _witness(rec.witness)}
                 for label, rec in rep.conditions.items()
             },
             "q": rep.q,
@@ -148,8 +134,11 @@ def cmd_verify(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     print(f"scheme {rep.scheme_name}")
-    for label in ("C1", "C2", "C3", "C4"):
-        print(_condition_line(label, rep.conditions[label]))
+    for label, rec in rep.conditions.items():
+        if rec.passed is None:
+            print(f"{label} NOT EVALUATED (requires C1 and C2)")
+        else:
+            print(f"{label} {rec.status} {_WITNESS_NAMES[label]}={_witness(rec.witness)}")
     print(f"truncation order q={rep.q}, leading residual d_{rep.q + 1} = {_vec_str(rep.leading)}")
     print(f"error inhibiting: {'yes' if rep.all_pass else 'no'}")
     return 0
@@ -190,17 +179,12 @@ def cmd_derive(args) -> int:
 
 def cmd_search(args) -> int:
     lo, hi = args.range
-    if args.s == 2:
-        if args.fix is not None:
-            raise ValueError("--fix applies only to --s 3")
+    if args.fix is None:
         c_in, c_out = _abscissae(args, 2)
         roots = derive.search_s2(c_in, c_out, (lo, hi))
     else:
-        if args.fix is None:
-            raise ValueError("--fix index=value is required for --s 3")
-        idx, val = args.fix
         c_in, c_out = _abscissae(args, 3)
-        roots = derive.search_s3_slice(idx, val, (lo, hi), c_in, c_out)
+        roots = derive.search_s3_slice(*args.fix, (lo, hi), c_in, c_out)
     if not roots:
         print("no roots in range")
         return 0
@@ -212,8 +196,9 @@ def cmd_search(args) -> int:
             f"eis_residual={rat_str(result.eis_residual)}"
         )
         if args.out_dir:
-            scheme = derive.assemble(root.a, c_in, c_out, name=f"candidate_s{args.s}_{i}")
-            path = os.path.join(args.out_dir, f"candidate_s{args.s}_{i}.json")
+            name = f"candidate_s{len(c_in)}_{i}"
+            scheme = derive.assemble(root.a, c_in, c_out, name=name)
+            path = os.path.join(args.out_dir, name + ".json")
             sch.save(scheme, path)
             print(f"  wrote {path}")
     return 0
@@ -222,7 +207,7 @@ def cmd_search(args) -> int:
 def cmd_integrate(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
-    traj = run_integration(scheme, prob, args.dt, float(args.T), n_sub=args.nsub)
+    traj = run_integration(scheme, prob, args.dt, float(args.T))
     if args.out:
         m = prob.dim
         lines = ["t," + ",".join(f"component_{k}" for k in range(m))]
@@ -350,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_derive)
 
     q = sub.add_parser("search", help="find roots of the error-inhibiting constraint")
-    q.add_argument("--s", type=int, choices=(2, 3), default=2)
     q.add_argument("--range", type=_range_pair, default=(Fraction(-2), Fraction(2)),
                    metavar="LO:HI", help="slice parameter range (default -2:2)")
     q.add_argument("--fix", type=_fix_pair, metavar="K=V",
-                   help="s=3 only: pin component K of a to value V")
+                   help="search the s=3 family with component K of a pinned to V "
+                   "(default: the s=2 family)")
     q.add_argument("--cin", type=_rat_list)
     q.add_argument("--cout", type=_rat_list)
     q.add_argument("--out-dir", help="write candidate scheme JSON files here")
@@ -366,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dt", type=_rat, required=True, help="step size, p/q or decimal")
     q.add_argument("--T", type=_rat, required=True, help="final time")
     q.add_argument("--out", help="write trajectory CSV (abscissa-0 row per block)")
-    q.add_argument("--nsub", type=_int_at_least(1), default=1000, help="bootstrap RK4 substeps")
     q.set_defaults(func=cmd_integrate)
 
     q = sub.add_parser("converge", help="convergence study over a dt ladder")

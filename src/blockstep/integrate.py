@@ -217,7 +217,6 @@ def integrate(
     dt,
     T: float,
     final_only: bool = False,
-    n_sub: int = 1000,
     start: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """March the block from t0 until the abscissa-0 row sits at time T.
@@ -232,7 +231,7 @@ def integrate(
     n_steps = _step_count(prob, dt, T)
     dtf = float(dt)
     if start is None:
-        state = bootstrap(scheme, prob, dtf, n_sub=n_sub)
+        state = bootstrap(scheme, prob, dtf)
     else:
         values = np.array(start, dtype=float)
         if values.shape != (scheme.s, prob.dim):

@@ -127,7 +127,7 @@ def test_derive_size_mismatch(capsys):
 
 
 def test_search_s2_finds_the_known_root(tmp_path, capsys):
-    code, out, err = run(capsys, "search", "--s", "2", "--out-dir", str(tmp_path))
+    code, out, err = run(capsys, "search", "--out-dir", str(tmp_path))
     assert code == 0
     assert "param=-1/6" in out
     assert "exact" in out
@@ -137,31 +137,16 @@ def test_search_s2_finds_the_known_root(tmp_path, capsys):
 
 
 def test_search_s3_slice(capsys):
-    code, out, err = run(
-        capsys, "search", "--s", "3", "--fix", "0=467/768", "--range", "-3:3"
-    )
+    code, out, err = run(capsys, "search", "--fix", "0=467/768", "--range", "-3:3")
     assert code == 0
     assert "param=-499/192" in out
     assert "q=3" in out
 
 
 def test_search_empty_range(capsys):
-    code, out, err = run(capsys, "search", "--s", "2", "--range", "0:1")
+    code, out, err = run(capsys, "search", "--range", "0:1")
     assert code == 0
     assert "no roots in range" in out
-
-
-def test_search_s3_requires_fix(capsys):
-    code, out, err = run(capsys, "search", "--s", "3")
-    assert code == 1
-    assert "--fix" in err
-
-
-def test_search_s2_rejects_fix(capsys):
-    code, out, err = run(capsys, "search", "--s", "2", "--fix", "0=1/4")
-    assert code == 1
-    assert out == ""
-    assert err == "error: --fix applies only to --s 3\n"
 
 
 def test_integrate_writes_trajectory(tmp_path, capsys):
@@ -198,17 +183,6 @@ def test_integrate_misaligned_step(capsys):
     )
     assert code == 1
     assert "error: T not reachable with this dt" in err
-
-
-def test_integrate_rejects_non_positive_substep_count(capsys):
-    for nsub in ("0", "-5"):
-        with pytest.raises(SystemExit) as exc:
-            main(["integrate", "--scheme", "S2", "--problem", "P2",
-                  "--dt", "1/8", "--T", "1/4", "--nsub", nsub])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"argument --nsub: must be >= 1, got {nsub}" in err
 
 
 def test_unknown_scheme(capsys):

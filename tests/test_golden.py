@@ -1,9 +1,11 @@
-"""Golden stdout of `blockstep converge` on both oracle branches.
+"""Golden stdout of the `blockstep` subcommands.
 
-P1 has a closed form, so its references and starting rows come from one
-`exact` call; P2 (van der Pol) has none, so they come from one
-doubling-verified RK4 sweep.  Any change to the printed table, slopes or
-reference line on either branch fails here.
+`converge` is pinned on both oracle branches.  P1 has a closed form, so its
+references and starting rows come from one `exact` call; P2 (van der Pol)
+has none, so they come from one doubling-verified RK4 sweep.  Any change to
+the printed table, slopes or reference line on either branch fails here.
+Every other subcommand is pinned on one or two representative calls;
+`integrate` on P2 covers the RK4 bootstrap.
 """
 
 import pytest
@@ -41,3 +43,114 @@ def test_converge_stdout_is_pinned(capsys, scheme, prob):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == GOLDEN[scheme, prob]
+
+
+CLI_GOLDEN = {
+    ("list",): """\
+name        s  q  EIS  abscissae
+S2          2  2  yes  (1/2, 0) -> (3/2, 1)
+BUTCHER2    2  2  no   (1, 0) -> (2, 1)
+S3A         3  3  yes  (2/3, 1/3, 0) -> (5/3, 4/3, 1)
+S3B         3  3  yes  (2/3, 1/3, 0) -> (5/3, 4/3, 1)
+S3C         3  3  yes  (2/3, 1/3, 0) -> (5/3, 4/3, 1)
+""",
+    ("verify", "S3A"): """\
+scheme S3A
+C1 PASS rank=1
+C2 PASS row_sums=(1, 1, 1)
+C3 PASS trace=1
+C4 PASS eis_residual=0
+truncation order q=3, leading residual d_4 = (43699/373248, 12787/373248, 2227/373248)
+error inhibiting: yes
+""",
+    ("verify", "BUTCHER2", "--json"): """\
+{
+  "scheme": "BUTCHER2",
+  "conditions": {
+    "C1": {
+      "status": "PASS",
+      "witness": 1
+    },
+    "C2": {
+      "status": "PASS",
+      "witness": "(1, 1)"
+    },
+    "C3": {
+      "status": "PASS",
+      "witness": "1"
+    },
+    "C4": {
+      "status": "FAIL",
+      "witness": "19/24"
+    }
+  },
+  "q": 2,
+  "leading": [
+    "23/48",
+    "1/16"
+  ],
+  "a": [
+    "7/4",
+    "-3/4"
+  ],
+  "eis_residual": "19/24",
+  "error_inhibiting": false
+}
+""",
+    ("truncation", "S3A", "--pmax", "6"): """\
+d_1 = (0, 0, 0)
+d_2 = (0, 0, 0)
+d_3 = (0, 0, 0)
+d_4 = (43699/373248, 12787/373248, 2227/373248)
+d_5 = (197159/2799360, 5647/311040, 7207/2799360)
+d_6 = (2489021/100776960, 554237/100776960, 12889/20155392)
+truncation order q=3
+""",
+    ("derive", "--a=-1/6,7/6"): """\
+a = (-1/6, 7/6)
+c_in = (1/2, 0), c_out = (3/2, 1)
+B =
+  [ 55/24  -17/24]
+  [ 25/24    1/24]
+achieved truncation order q=2
+eis_residual = 0
+""",
+    ("search",): """\
+root 0: param=-1/6 (-0.16666666666666666, exact), a=(-1/6, 7/6), q=2, eis_residual=0
+""",
+    ("search", "--fix", "0=467/768", "--range=-3:3"): """\
+root 0: param=-499/192 (-2.5989583333333335, exact), a=(467/768, -499/192, 2297/768), \
+q=3, eis_residual=0
+""",
+    ("integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1"): """\
+final base time t=1 after 8 steps of dt=0.125
+  c_in=1/2: (0.48461992913045865)  |error|=2.286e-04
+  c_in=0: (0.49958730031408682)  |error|=4.127e-04
+""",
+    ("integrate", "--scheme", "S3A", "--problem", "P2", "--dt", "1/8", "--T", "1"): """\
+final base time t=1 after 8 steps of dt=0.125
+  c_in=2/3: (1.0039915819478369, -1.6563271651647402)
+  c_in=1/3: (1.0721407380888932, -1.6135475668115333)
+  c_in=0: (1.1384588538535232, -1.5689426364014556)
+""",
+    ("stability", "--scheme", "S2", "--n", "3"): """\
+re,im,rho
+-3,-3,7.7642500455072776
+-1,-3,5.8351537958232287
+1,-3,6.0778220472727673
+-3,0,5.3452078799117126
+-1,0,1.6384919824742159
+1,0,2.4484026266372378
+-3,3,7.7642500455072776
+-1,3,5.8351537958232287
+1,3,6.0778220472727673
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_GOLDEN), ids=" ".join)
+def test_cli_stdout_is_pinned(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == CLI_GOLDEN[argv]
