@@ -125,14 +125,6 @@ class VerificationReport:
         return all(rec.passed for rec in self.conditions.values())
 
 
-def _rank1_row(scheme: Scheme) -> ExactVector | None:
-    # Under C1+C2 all rows of A coincide; return that common row.
-    first = scheme.A[0]
-    if all(row == first for row in scheme.A[1:]):
-        return first
-    return None
-
-
 def verify_conditions(scheme: Scheme) -> VerificationReport:
     """Check C1-C4 exactly and report witnesses."""
     order = truncation_order(scheme)
@@ -143,7 +135,9 @@ def verify_conditions(scheme: Scheme) -> VerificationReport:
     row_sums = matvec(scheme.A, ones)
     c2 = ConditionRecord(all(x == 1 for x in row_sums), row_sums)
 
-    a = _rank1_row(scheme) if (c1.passed and c2.passed) else None
+    # C1 makes A = u v^T, and C2 (A 1 = 1) gives u_i (v^T 1) = 1 for every i:
+    # u is constant, so all rows of A equal the first and a is that row.
+    a = scheme.A[0] if (c1.passed and c2.passed) else None
     if a is None:
         c3 = ConditionRecord(None, None)
         c4 = ConditionRecord(None, None)

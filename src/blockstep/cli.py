@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import signal
 import sys
 from fractions import Fraction
 
@@ -207,22 +208,17 @@ def cmd_search(args) -> int:
 def cmd_integrate(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
-    traj = run_integration(scheme, prob, args.dt, float(args.T))
+    blocks = run_integration(scheme, prob, args.dt, float(args.T))
+    dt = float(args.dt)
     if args.out:
-        m = prob.dim
-        lines = ["t," + ",".join(f"component_{k}" for k in range(m))]
-        for block in traj.blocks:
-            row = [format(block.t, ".17g")]
-            row += [format(v, ".17g") for v in block.values[scheme.s - 1]]
-            lines.append(",".join(row))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ["t"] + [f"component_{k}" for k in range(prob.dim)]
+        harness.write_csv(args.out, header, ((b.t, *b.values[scheme.s - 1]) for b in blocks))
         print(f"wrote {args.out}")
-    final = traj.final
+    final = blocks[-1]
     if prob.exact is not None:
-        ref = prob.exact(final.t + scheme.float_tables[2] * traj.dt).T
+        ref = prob.exact(final.t + scheme.float_tables[2] * dt).T
         errs = abs(final.values - ref).max(axis=1)
-    print(f"final base time t={final.t:.17g} after {final.n} steps of dt={traj.dt:.17g}")
+    print(f"final base time t={final.t:.17g} after {final.n} steps of dt={dt:.17g}")
     for j in range(scheme.s):
         vals = ", ".join(format(v, ".17g") for v in final.values[j])
         line = f"  c_in={rat_str(scheme.c_in[j])}: ({vals})"
@@ -269,17 +265,10 @@ def cmd_stability(args) -> int:
     re_vals, im_vals, rho = analysis.stability_scan(
         scheme, (float(re_lo), float(re_hi)), (float(im_lo), float(im_hi)), args.n
     )
-    lines = ["re,im,rho"]
-    for i, y in enumerate(im_vals):
-        for j, x in enumerate(re_vals):
-            lines.append(f"{x:.17g},{y:.17g},{rho[i, j]:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = ((x, y, rho[i, j]) for i, y in enumerate(im_vals) for j, x in enumerate(re_vals))
+    harness.write_csv(args.out, ["re", "im", "rho"], rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {args.out} ({args.n}x{args.n} grid)")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -389,6 +378,11 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
+    # End silently, as POSIX tools do, when the reader of stdout goes away
+    # (`blockstep list | head -1`): Python ignores SIGPIPE and would report
+    # the broken pipe as an error instead.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

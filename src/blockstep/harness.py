@@ -17,6 +17,7 @@ is checked before any of that work starts.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -137,8 +138,8 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
 
     global_err = []
     for dt, ref, start in zip(dt_list, refs, starts):
-        traj = run_integration(scheme, prob, dt, T, final_only=True, start=start)
-        global_err.append(np.abs(traj.final.values - ref).max(axis=1))
+        final = run_integration(scheme, prob, dt, T, final_only=True, start=start)[-1]
+        global_err.append(np.abs(final.values - ref).max(axis=1))
     lte = [measure_lte(scheme, prob, dt, T) for dt in dt_list] if prob.exact is not None else None
     global_slopes, maxnorm_global = _slopes(dt_list, global_err)
     lte_slopes, maxnorm_lte = _slopes(dt_list, lte)
@@ -162,11 +163,21 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows(report: ConvergenceReport) -> list[list[str]]:
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of numbers, each in round-trip
+    .17g, to path, or to stdout when there is no path."""
+    text = "\n".join([",".join(header)] + [",".join(map(_g, row)) for row in rows]) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _rows(report: ConvergenceReport) -> list[tuple]:
     # Per dt: dt, the global errors, then the LTE values when measured.
     lte = report.lte if report.lte is not None else [()] * len(report.dts)
-    rows = zip(report.dts, report.global_err, lte)
-    return [[_g(x) for x in (dt, *e, *v)] for dt, e, v in rows]
+    return [(dt, *e, *v) for dt, e, v in zip(report.dts, report.global_err, lte)]
 
 
 def emit_csv(report: ConvergenceReport, path) -> None:
@@ -175,9 +186,7 @@ def emit_csv(report: ConvergenceReport, path) -> None:
     cols = ["dt"] + [f"global_err_comp_{j}" for j in range(s)]
     if report.lte is not None:
         cols += [f"lte_comp_{j}" for j in range(s)]
-    lines = [",".join(cols)] + [",".join(row) for row in _rows(report)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, cols, _rows(report))
 
 
 def emit_plot_script(report: ConvergenceReport, path) -> None:
@@ -208,7 +217,7 @@ def emit_plot_script(report: ConvergenceReport, path) -> None:
         f"set title '{report.scheme_name} on {report.problem_name}'",
         "$DATA << EOD",
     ]
-    lines += [" ".join(row) for row in _rows(report)]
+    lines += [" ".join(map(_g, row)) for row in _rows(report)]
     lines.append("EOD")
     lines.append(f"guide_q(x) = {cq:.6g} * x**{q}")
     lines.append(f"guide_q1(x) = {cq1:.6g} * x**{q + 1}")

@@ -9,15 +9,16 @@ where F evaluates the right-hand side on the whole block in one call (see
 Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
-Also here: the built-in test problems P1-P4, starting-value bootstrap
-(exact solution when available, otherwise a fine classical RK4 sweep), a
+Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
 truncation error of the exact solution under a scheme, over all steps at once.
 
-The reference oracle serves any set of times in [t0, T] from one march:
-each time off the grid gets one partial RK4 step from the grid value just
-before it.  A convergence study thus takes its reference values and its
-starting rows (passed to integrate as `start`) from a single verified sweep.
+All classical RK4 work goes through one march, _rk4_sweep.  It serves any
+set of times in [t0, T]: each time off its grid gets one partial RK4 step
+from the grid value just before it.  bootstrap reads every starting row off
+one such march when there is no exact solution, and rk4_reference checks two
+of them against each other, so a convergence study takes its reference values
+and its starting rows (passed to integrate as `start`) from one verified sweep.
 """
 
 from __future__ import annotations
@@ -128,16 +129,6 @@ class BlockState:
     values: np.ndarray  # shape (s, dim), row j at time t + c_in[j] * dt
 
 
-@dataclass
-class Trajectory:
-    dt: float
-    blocks: list[BlockState]
-
-    @property
-    def final(self) -> BlockState:
-        return self.blocks[-1]
-
-
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
     A, B, c_in, _ = scheme.float_tables
@@ -164,32 +155,26 @@ def _rk4_step(rhs, t, u, h):
 def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> BlockState:
     """Starting block at t0.
 
-    Rows come from the exact solution when the problem has one; otherwise a
-    classical RK4 sweep with n_sub substeps per abscissa interval fills them,
-    keeping the starter error far below any order visible at these step
-    sizes.
+    Rows come from the exact solution when the problem has one.  Otherwise
+    one classical RK4 march of (s - 1) * n_sub steps from t0 to
+    t0 + c_in[0] * dt fills them, each row read off it at t0 + c_in[j] * dt;
+    for evenly spaced abscissae that is n_sub steps per abscissa interval.
+    The starter error stays far below any order visible at these step sizes.
+    Row s - 1 sits at t0 and is u0 itself.
     """
     if dt <= 0:
         raise ValueError("non-positive step")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     s = scheme.s
+    times = prob.t0 + scheme.float_tables[2] * dt
     if prob.exact is not None:
-        values = prob.exact(prob.t0 + scheme.float_tables[2] * dt).T.copy()  # C order, (s, dim)
+        values = prob.exact(times).T.copy()  # C order, (s, dim)
+    elif s == 1:
+        values = prob.u0[None, :].copy()
     else:
-        c_in = scheme.float_tables[2].tolist()  # Python floats: cheap scalar RK4 arithmetic
-        values = np.empty((s, prob.dim))
-        u = prob.u0.copy()
-        values[s - 1] = u
-        c_prev = 0.0
-        for j in range(s - 2, -1, -1):
-            c_next = c_in[j]
-            t_start = prob.t0 + c_prev * dt
-            h = (c_next - c_prev) * dt / n_sub
-            for k in range(n_sub):
-                u = _rk4_step(prob.rhs, t_start + k * h, u, h)
-            values[j] = u
-            c_prev = c_next
+        times = times.tolist()  # Python floats: cheap scalar RK4 arithmetic
+        values = _rk4_sweep(prob, times[0], (s - 1) * n_sub, times)
     if not np.isfinite(values).all():
         raise ValueError("non-finite state at step 0")
     return BlockState(n=0, t=prob.t0, values=values)
@@ -218,9 +203,10 @@ def integrate(
     T: float,
     final_only: bool = False,
     start: Optional[np.ndarray] = None,
-) -> Trajectory:
+) -> list[BlockState]:
     """March the block from t0 until the abscissa-0 row sits at time T.
 
+    Returns every block, or with final_only just the last one, in a list.
     dt may be a float or an exact Fraction; stepping always uses its double
     rendering.  Marching requires c_out = c_in + 1 (each step advances the
     whole block by one dt), which all builtin schemes satisfy.  start, an
@@ -248,7 +234,7 @@ def integrate(
             blocks[0] = state
         else:
             blocks.append(state)
-    return Trajectory(dt=dtf, blocks=blocks)
+    return blocks
 
 
 def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
@@ -278,9 +264,9 @@ class NonFiniteReference(ValueError):
     """An RK4 reference march produced a non-finite value."""
 
 
-def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarray:
-    """Classical RK4 solution at T, or one row per time in times, verified by
-    step doubling.
+def rk4_reference(prob: Problem, T: float, n_steps: int, times) -> np.ndarray:
+    """Classical RK4 solution at each time in times, one row per time,
+    verified by step doubling.
 
     Marches n_steps and 2*n_steps over [t0, T]; each requested time lies in
     [t0, T] and is served from the same march (see _rk4_sweep).  If the two
@@ -290,7 +276,7 @@ def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarr
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     T = float(T)
-    ts = [T] if times is None else [float(t) for t in times]
+    ts = [float(t) for t in times]
     for t in ts:
         if not prob.t0 <= t <= T:
             raise ValueError(f"reference time {t!r} outside [t0, T] = [{prob.t0!r}, {T!r}]")
@@ -300,7 +286,7 @@ def rk4_reference(prob: Problem, T: float, n_steps: int, times=None) -> np.ndarr
         raise NonFiniteReference("non-finite RK4 reference")
     if float(np.max(np.abs(coarse - fine), initial=0.0)) >= 1e-12:
         raise ValueError("reference not converged")
-    return fine[0] if times is None else fine
+    return fine
 
 
 def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""The benchmark's tracer must keep finding the functions it wraps.
+"""The benchmark's tracer must keep finding the functions it wraps, and its
+workloads must keep calling the package the way they do.
 
 bench/spans.py looks each traced function up by name in the module that
-calls it and binds recorded arguments by name, so a rename in the package
-would otherwise only show when a traced benchmark run breaks.
+calls it and binds recorded arguments by name, and bench/workloads.py calls
+integrate.bootstrap and integrate.step with fixed arguments, so a rename or
+a signature change in the package would otherwise only show when a
+benchmark run breaks.
 """
 
 import importlib.util
@@ -10,21 +13,29 @@ import inspect
 from pathlib import Path
 
 from blockstep import analysis, harness
-from blockstep.integrate import problem
-from blockstep.scheme import builtin
+from blockstep.integrate import PROBLEM_NAMES, problem
+from blockstep.scheme import BUILTIN_NAMES, builtin
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_workloads_warm_every_scheme_on_every_problem():
+    # _warm_float_tables runs bootstrap(..., n_sub=1) and one step per pair.
+    workloads = _load("workloads")
+    ctx = workloads.Context({name: builtin(name) for name in BUILTIN_NAMES},
+                            {name: problem(name) for name in PROBLEM_NAMES})
+    workloads._warm_float_tables(ctx)
+
+
 def test_tracer_finds_every_traced_function_and_argument():
-    spans = _load_spans()
+    spans = _load("spans")
     spans.Tracer()
     for _, mod, attr, _, arg in spans.PATCHES:
         if arg is not None:
@@ -33,7 +44,7 @@ def test_tracer_finds_every_traced_function_and_argument():
 
 
 def test_traced_stability_scan_counts_its_grid_points():
-    spans = _load_spans()
+    spans = _load("spans")
     tracer = spans.Tracer()
     original = analysis.stability_scan
     with tracer.patched():
@@ -45,7 +56,7 @@ def test_traced_stability_scan_counts_its_grid_points():
 def test_traced_cold_study_makes_one_reference_sweep():
     # The per-layer metrics count reference work by these span names; one
     # sweep per study must show as one rk4_reference span and no bootstrap.
-    spans = _load_spans()
+    spans = _load("spans")
     tracer = spans.Tracer()
     study = tracer.op(harness.converge)
     study(builtin("S2"), problem("P2"), dts=(1 / 8, 1 / 16, 1 / 32))

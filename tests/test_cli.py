@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +257,47 @@ def test_stability_csv(tmp_path, capsys):
         re, im, rho = (float(x) for x in line.split(","))
         assert re == 0.0 and im == 0.0
         assert abs(rho - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1", "--out"],
+        ["stability", "--scheme", "S2", "--n", "2", "--out"],
+        ["converge", "--scheme", "S2", "--problem", "P1", "--dts", "1/8,1/16,1/32", "--csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("error: [Errno 2]") and str(path) in err and err.count("\n") == 1
+    assert "wrote" not in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform without SIGPIPE")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["list"], ["stability", "--scheme", "S2", "--n", "300"]],
+                         ids=lambda argv: argv[0])
+def test_closed_stdout_ends_quietly(argv, unbuffered):
+    # A reader that has gone away (`blockstep list | head -0`): the CLI ends
+    # on SIGPIPE like any POSIX tool, with nothing on stderr.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "blockstep.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (-signal.SIGPIPE, "")
 
 
 def test_stability_stdout(capsys):

@@ -5,7 +5,9 @@ references and starting rows come from one `exact` call; P2 (van der Pol)
 has none, so they come from one doubling-verified RK4 sweep.  Any change to
 the printed table, slopes or reference line on either branch fails here.
 Every other subcommand is pinned on one or two representative calls;
-`integrate` on P2 covers the RK4 bootstrap.
+`integrate` on P2 covers the RK4 bootstrap.  The three CSV outputs
+(`converge --csv`, `integrate --out`, `stability --out`) are pinned byte for
+byte, together with the stdout of the call that writes them.
 """
 
 import pytest
@@ -154,3 +156,65 @@ def test_cli_stdout_is_pinned(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == CLI_GOLDEN[argv]
+
+
+INTEGRATE_P1 = ("integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1")
+INTEGRATE_P2 = ("integrate", "--scheme", "S3A", "--problem", "P2", "--dt", "1/8", "--T", "1")
+STABILITY = ("stability", "--scheme", "S2", "--n", "3")
+
+# argv without the output path: (stdout with {path} for it, file contents)
+FILE_GOLDEN = {
+    ("converge", "--scheme", "S2", "--problem", "P1", "--dts", LADDER, "--csv"): (
+        GOLDEN["S2", "P1"] + "wrote {path}\n",
+        """\
+dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1
+0.125,0.00022855571802621322,0.00041269968591317596,0.019934134644570278,0.0029315647827758973
+0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878336282,0.00082599614685396894
+0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146549114,0.00021965214272756661
+0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547915173,5.6664185929200528e-05
+""",
+    ),
+    (*INTEGRATE_P1, "--out"): (
+        "wrote {path}\n" + CLI_GOLDEN[INTEGRATE_P1],
+        """\
+t,component_0
+0,1
+0.125,0.88925533448673599
+0.25,0.7996964132231843
+0.375,0.72690798425167891
+0.5,0.66621544053745685
+0.625,0.61492233808356611
+0.75,0.57097238758863689
+0.875,0.53289637726023076
+1,0.49958730031408682
+""",
+    ),
+    (*INTEGRATE_P2, "--out"): (
+        "wrote {path}\n" + CLI_GOLDEN[INTEGRATE_P2],
+        """\
+t,component_0,component_1
+0,2,0
+0.125,1.9845851458095074,-0.24477090672774254
+0.25,1.9393259415481376,-0.47742036906196977
+0.375,1.8658133491256235,-0.69627425934430209
+0.5,1.7658496680120916,-0.90054943878156735
+0.625,1.6412786686153849,-1.0900323299240853
+0.75,1.4939487915152312,-1.2647145203470278
+0.875,1.3257138164447082,-1.4244979101849911
+1,1.1384588538535232,-1.5689426364014556
+""",
+    ),
+    # the file holds what the same call prints without --out
+    (*STABILITY, "--out"): ("wrote {path} (3x3 grid)\n", CLI_GOLDEN[STABILITY]),
+}
+
+
+@pytest.mark.parametrize("argv", list(FILE_GOLDEN), ids=" ".join)
+def test_cli_files_are_pinned(tmp_path, capsys, argv):
+    path = tmp_path / "out.csv"
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    stdout, contents = FILE_GOLDEN[argv]
+    assert (code, captured.err) == (0, "")
+    assert captured.out == stdout.format(path=path)
+    assert path.read_bytes() == contents.encode()

@@ -34,6 +34,13 @@ def _constant_problem(value=1.0):
     )
 
 
+def _forced():
+    # A non-autonomous oscillator: the march's grid times enter every stage.
+    return make_problem(
+        "forced", 2, lambda t, u: np.array([t * u[1], -(1.0 + t * t) * u[0]]), None, [1.0, 0.0]
+    )
+
+
 def test_problem_registry():
     assert PROBLEM_NAMES == ("P1", "P2", "P3", "P4")
     p1 = problem("P1")
@@ -112,8 +119,8 @@ def test_long_run_constancy_drift_stays_within_budget():
     n = 128
     for name in BUILTIN_NAMES:
         sch = builtin(name)
-        traj = integrate(sch, prob, F(1, n), 1.0, final_only=True)
-        drift = np.max(np.abs(traj.final.values - 1.0))
+        final = integrate(sch, prob, F(1, n), 1.0, final_only=True)[-1]
+        drift = np.max(np.abs(final.values - 1.0))
         assert drift <= n * sch.s * EPS, name
 
 
@@ -121,9 +128,7 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
     # One rhs call on the block's columns against s calls on its rows and
     # the @ combine: the same arithmetic, so bit-identical.  P2 is
     # autonomous; the forced oscillator also checks each row's time.
-    forced = make_problem(
-        "forced", 2, lambda t, u: np.array([t * u[1], -(1.0 + t * t) * u[0]]), None, [1.0, 0.0]
-    )
+    forced = _forced()
     rng = np.random.default_rng(6)
     for prob in (problem("P2"), forced):
         for name in BUILTIN_NAMES:
@@ -231,36 +236,93 @@ def test_bootstrap_rejects_non_positive_substep_count():
             bootstrap(builtin("S2"), problem("P2"), 0.125, n_sub=n_sub)
 
 
+def _bootstrap_substeps(scheme, prob, dt, n_sub):
+    # The per-interval RK4 loop the single bootstrap march replaced, kept as
+    # its oracle: n_sub substeps from each abscissa to the next, the step
+    # count restarting at each row.
+    def rk4(t, u, h):
+        k1 = np.asarray(prob.rhs(t, u), dtype=float)
+        k2 = np.asarray(prob.rhs(t + h / 2, u + (h / 2) * k1), dtype=float)
+        k3 = np.asarray(prob.rhs(t + h / 2, u + (h / 2) * k2), dtype=float)
+        k4 = np.asarray(prob.rhs(t + h, u + h * k3), dtype=float)
+        return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    c_in = scheme.float_tables[2].tolist()
+    values = np.empty((scheme.s, prob.dim))
+    u = values[-1] = prob.u0
+    c_prev = 0.0
+    for j in range(scheme.s - 2, -1, -1):
+        t_start = prob.t0 + c_prev * dt
+        h = (c_in[j] - c_prev) * dt / n_sub
+        for k in range(n_sub):
+            u = rk4(t_start + k * h, u, h)
+        values[j] = u
+        c_prev = c_in[j]
+    return values
+
+
+@pytest.mark.parametrize("n_sub", [1, 1000])
+@pytest.mark.parametrize("dt", [0.125, 1 / 3, 0.1, 0.0078125])
+def test_bootstrap_march_equals_the_per_interval_loop(dt, n_sub):
+    # Evenly spaced abscissae: the march's step length and grid times are
+    # the loop's, so the rows agree bit for bit.
+    for prob in (problem("P2"), _forced()):
+        for name in BUILTIN_NAMES:
+            sch = builtin(name)
+            rows = bootstrap(sch, prob, dt, n_sub=n_sub).values
+            assert np.array_equal(rows, _bootstrap_substeps(sch, prob, dt, n_sub)), (
+                prob.name, name)
+
+
+def test_bootstrap_march_on_uneven_abscissae_stays_within_rounding():
+    # Unequal intervals: one step length for the whole march, a partial step
+    # to the inner row.  Same RK4 accuracy, different rounding.
+    sch = make_scheme("uneven", [F(3, 4), F(1, 5), 0], [F(7, 4), F(6, 5), 1],
+                      [[0, 0, 1]] * 3, [[0, 0, 0]] * 3)
+    for prob in (problem("P2"), _forced()):
+        for dt in (0.125, 1 / 3, 0.1):
+            rows = bootstrap(sch, prob, dt).values
+            oracle = _bootstrap_substeps(sch, prob, dt, 1000)
+            assert np.max(np.abs(rows - oracle)) < 1e-13, (prob.name, dt)
+
+
+def test_bootstrap_of_a_one_row_scheme_is_the_initial_value():
+    euler = make_scheme("euler", [0], [1], [[1]], [[1]])
+    prob = problem("P2")
+    rows = bootstrap(euler, prob, 0.125).values
+    assert rows.shape == (1, 2) and np.array_equal(rows[0], prob.u0)
+
+
 def test_integrate_p1_reaches_the_target():
-    traj = integrate(builtin("S2"), problem("P1"), F(1, 8), 1.0)
-    assert len(traj.blocks) == 9
-    assert traj.final.t == 1.0
-    assert [b.n for b in traj.blocks] == list(range(9))
-    err8 = abs(traj.final.values[-1, 0] - 0.5)
+    blocks = integrate(builtin("S2"), problem("P1"), F(1, 8), 1.0)
+    assert len(blocks) == 9
+    assert blocks[-1].t == 1.0
+    assert [b.n for b in blocks] == list(range(9))
+    err8 = abs(blocks[-1].values[-1, 0] - 0.5)
     assert err8 < 1e-3
     finer = integrate(builtin("S2"), problem("P1"), F(1, 16), 1.0)
-    err16 = abs(finer.final.values[-1, 0] - 0.5)
+    err16 = abs(finer[-1].values[-1, 0] - 0.5)
     assert err16 < err8 / 6  # third-order scheme: halving dt cuts ~8x
 
 
 def test_integrate_final_only_matches_full_run():
     full = integrate(builtin("S3C"), problem("P3"), F(1, 8), 1.0)
     last = integrate(builtin("S3C"), problem("P3"), F(1, 8), 1.0, final_only=True)
-    assert len(last.blocks) == 1
-    assert np.array_equal(full.final.values, last.final.values)
-    assert abs(full.final.values[-1, 0] - math.exp(-1.0)) < 1e-3
+    assert len(last) == 1
+    assert np.array_equal(full[-1].values, last[0].values)
+    assert abs(full[-1].values[-1, 0] - math.exp(-1.0)) < 1e-3
 
 
 def test_integrate_accepts_float_step_that_lands_on_target():
-    traj = integrate(builtin("S2"), problem("P1"), 0.1, 1.0, final_only=True)
-    assert traj.final.n == 10
+    final = integrate(builtin("S2"), problem("P1"), 0.1, 1.0, final_only=True)[-1]
+    assert final.n == 10
 
 
 def test_block_time_does_not_drift_over_many_steps():
     # summing dt = 0.1 ten thousand times would end at 1000.0000000001588
-    traj = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0, final_only=True)
-    assert traj.final.n == 10_000
-    assert traj.final.t == 1000.0
+    final = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0, final_only=True)[-1]
+    assert final.n == 10_000
+    assert final.t == 1000.0
 
 
 def test_integrate_rejects_misaligned_step():
@@ -282,38 +344,38 @@ def test_linear_problem_equals_matrix_power():
     sch = builtin("S2")
     prob = make_dahlquist(-1.0)
     dt = 1.0 / 16
-    traj = integrate(sch, prob, F(1, 16), 1.0, final_only=True)
+    final = integrate(sch, prob, F(1, 16), 1.0, final_only=True)[-1]
     A = np.array([[float(x) for x in row] for row in sch.A])
     B = np.array([[float(x) for x in row] for row in sch.B])
     M = A + dt * (-1.0) * B
     oracle = np.linalg.matrix_power(M, 16) @ bootstrap(sch, prob, dt).values
-    assert np.max(np.abs(traj.final.values - oracle)) < 1e-13
+    assert np.max(np.abs(final.values - oracle)) < 1e-13
 
 
 def test_rk4_reference_values():
-    ref = rk4_reference(problem("P3"), 1.0, 2000)
-    assert abs(ref[0] - math.exp(-1.0)) < 1e-12
-    ref = rk4_reference(problem("P1"), 1.0, 2000)
-    assert abs(ref[0] - 0.5) < 1e-12
+    ref = rk4_reference(problem("P3"), 1.0, 2000, [1.0])
+    assert abs(ref[0, 0] - math.exp(-1.0)) < 1e-12
+    ref = rk4_reference(problem("P1"), 1.0, 2000, [1.0])
+    assert abs(ref[0, 0] - 0.5) < 1e-12
 
 
 def test_rk4_reference_rejects_unconverged_runs():
     with pytest.raises(ValueError, match="reference not converged"):
-        rk4_reference(problem("P1"), 1.0, 1)
+        rk4_reference(problem("P1"), 1.0, 1, [1.0])
     with pytest.raises(ValueError, match="n_steps"):
-        rk4_reference(problem("P1"), 1.0, 0)
+        rk4_reference(problem("P1"), 1.0, 0, [1.0])
 
 
 def test_rk4_reference_serves_requested_times_like_separate_runs():
     # Off-grid times, t0, T, unsorted, with a duplicate: one sweep agrees
-    # with a separate scalar reference per time.
+    # with a separate reference ending at each time.
     times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
     for name in ("P1", "P2"):
         prob = problem(name)
         rows = rk4_reference(prob, 1.0, 2048, times=times)
         assert rows.shape == (len(times), prob.dim)
         for t, row in zip(times[:4], rows):
-            alone = rk4_reference(prob, t, 2048)
+            alone = rk4_reference(prob, t, 2048, [t])[0]
             assert np.max(np.abs(row - alone)) < 1e-12, (name, t)
         assert np.array_equal(rows[0], rows[4])
         assert np.array_equal(rows[2], prob.u0)
@@ -324,11 +386,10 @@ def test_rk4_reference_grid_times_get_the_grid_value():
     # same march as a reference to 0.5 with half the steps, bit for bit,
     # and partial steps served on the way do not advance the march.
     prob = problem("P2")
-    alone = rk4_reference(prob, 0.5, 512)
-    rows = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7])
+    alone = rk4_reference(prob, 0.5, 512, [0.5])[0]
+    rows = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7, 1.0])
     assert np.array_equal(rows[1], alone)
-    assert np.array_equal(rk4_reference(prob, 1.0, 1024, times=[1.0])[0],
-                          rk4_reference(prob, 1.0, 1024))
+    assert np.array_equal(rows[3], rk4_reference(prob, 1.0, 1024, [1.0])[0])
 
 
 def test_rk4_reference_checks_every_requested_time():
@@ -336,7 +397,7 @@ def test_rk4_reference_checks_every_requested_time():
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
     # midpoint, so the errors cancel at T = 1 but not at t = 1/2.
     prob = make_problem("quintic", 1, lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
-    assert abs(rk4_reference(prob, 1.0, 4)[0]) < 1e-15
+    assert abs(rk4_reference(prob, 1.0, 4, [1.0])[0, 0]) < 1e-15
     with pytest.raises(ValueError, match="reference not converged"):
         rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
 
@@ -347,7 +408,7 @@ def test_rk4_reference_rejects_a_non_finite_march():
     prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteReference, match="non-finite RK4 reference"):
-            rk4_reference(prob, 2.0, 8)
+            rk4_reference(prob, 2.0, 8, [2.0])
         with pytest.raises(NonFiniteReference):
             rk4_reference(prob, 2.0, 2048, times=[0.5, 1.5])
     assert issubclass(NonFiniteReference, ValueError)
@@ -365,7 +426,7 @@ def test_integrate_takes_given_start_rows():
     rows = bootstrap(sch, prob, 0.125).values
     given = integrate(sch, prob, 0.125, 1.0, start=rows)
     booted = integrate(sch, prob, 0.125, 1.0)
-    for a, b in zip(given.blocks, booted.blocks):
+    for a, b in zip(given, booted):
         assert np.array_equal(a.values, b.values)
 
 
