@@ -165,13 +165,13 @@ def _abscissae(args, n_components: int):
 def cmd_derive(args) -> int:
     a = args.a
     c_in, c_out = _abscissae(args, len(a))
-    result = derive.derive_scheme(a, c_in, c_out)
     scheme = derive.assemble(a, c_in, c_out)
-    print(f"a = {_vec_str(result.a)}")
+    rep = analysis.verify_conditions(scheme)
+    print(f"a = {_vec_str(scheme.A[0])}")
     print(f"c_in = {_vec_str(scheme.c_in)}, c_out = {_vec_str(scheme.c_out)}")
-    _print_matrix("B", result.B)
-    print(f"achieved truncation order q={result.achieved_order}")
-    print(f"eis_residual = {rat_str(result.eis_residual)}")
+    _print_matrix("B", scheme.B)
+    print(f"achieved truncation order q={rep.q}")
+    print(f"eis_residual = {rat_str(rep.eis_residual)}")
     if args.out:
         sch.save(scheme, args.out)
         print(f"wrote {args.out}")
@@ -190,15 +190,14 @@ def cmd_search(args) -> int:
         print("no roots in range")
         return 0
     for i, root in enumerate(roots):
-        result = derive.derive_scheme(root.a, c_in, c_out)
+        name = f"candidate_s{len(c_in)}_{i}"
+        scheme = derive.assemble(root.a, c_in, c_out, name=name)
+        rep = analysis.verify_conditions(scheme)
         print(
             f"root {i}: param={rat_str(root.param)} ({float(root.param):.17g}, exact), "
-            f"a={_vec_str(root.a)}, q={result.achieved_order}, "
-            f"eis_residual={rat_str(result.eis_residual)}"
+            f"a={_vec_str(root.a)}, q={rep.q}, eis_residual={rat_str(rep.eis_residual)}"
         )
         if args.out_dir:
-            name = f"candidate_s{len(c_in)}_{i}"
-            scheme = derive.assemble(root.a, c_in, c_out, name=name)
             path = os.path.join(args.out_dir, name + ".json")
             sch.save(scheme, path)
             print(f"  wrote {path}")
@@ -234,16 +233,11 @@ def cmd_converge(args) -> int:
     dts = [float(d) for d in args.dts]
     report = harness.converge(scheme, prob, dts, float(args.T))
     print(f"{scheme.name} on {prob.name}, T={float(args.T):g}, reference: {report.reference}")
-    s = scheme.s
-    header = f"{'dt':>12s} " + " ".join(f"{'err[' + str(j) + ']':>12s}" for j in range(s))
-    if report.lte is not None:
-        header += " " + " ".join(f"{'lte[' + str(j) + ']':>12s}" for j in range(s))
-    print(header)
-    for i, dt in enumerate(report.dts):
-        row = f"{dt:12.6g} " + " ".join(f"{e:12.4e}" for e in report.global_err[i])
-        if report.lte is not None:
-            row += " " + " ".join(f"{v:12.4e}" for v in report.lte[i])
-        print(row)
+    labels = ["err"] + (["lte"] if report.lte is not None else [])
+    cols = [f"{x}[{j}]" for x in labels for j in range(scheme.s)]
+    print(f"{'dt':>12s} " + " ".join(f"{c:>12s}" for c in cols))
+    for dt, *errs in harness._rows(report):
+        print(f"{dt:12.6g} " + " ".join(f"{e:12.4e}" for e in errs))
     slopes = ", ".join(f"{x:.3f}" for x in report.global_slopes)
     print(f"global slopes: [{slopes}]  max-norm: {report.maxnorm_global_slope:.3f}")
     if report.lte_slopes is not None:
@@ -372,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

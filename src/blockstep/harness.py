@@ -8,7 +8,7 @@ orders: an error-inhibiting scheme shows a global slope one above its LTE
 slope, a plain scheme shows equal slopes.
 
 Each study makes one oracle call for every time it needs: the reference
-values at T + c_j dt and the starting rows at t0 + c_j dt, for every dt of
+values at T + c_j dt and the starting rows at c_j dt, for every dt of
 the ladder.  The oracle is the closed form when there is one, otherwise one
 doubling-verified RK4 sweep.  Nothing is kept between studies.  The ladder
 is checked before any of that work starts.
@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import NonFiniteReference, Problem, _step_count, measure_lte, rk4_reference
-from .integrate import integrate as run_integration
+from .integrate import NonFiniteReference, Problem, _check_marches, _step_count, measure_lte
+from .integrate import integrate as run_integration, rk4_reference
 from .scheme import Scheme
 
 STANDARD_DTS = (
@@ -108,30 +108,31 @@ def _slopes(dts, rows):
     return per_component, fit_slope(zip(dts, errs.max(axis=1)))
 
 
-def _check_ladder(prob, dt_list, T):
+def _check_ladder(scheme, dt_list, T):
     # Every cause a study would otherwise fail on after doing its work.
+    _check_marches(scheme)
     if len(dt_list) < 3:
         raise ValueError("need >=3 dt values")
     if len(set(dt_list)) != len(dt_list):
         raise ValueError("duplicate dt values")
-    if not float(T) > prob.t0:
-        raise ValueError(f"T must exceed t0 = {prob.t0:g}")
+    if not float(T) > 0:
+        raise ValueError("T must exceed t0 = 0")
     for dt in dt_list:
-        _step_count(prob, dt, T)
+        _step_count(dt, T)
 
 
 def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) -> ConvergenceReport:
     """Run the dt ladder and fit per-component global and LTE slopes.
 
-    The ladder needs at least three distinct positive dts that each reach
-    T > t0 in whole steps; this is checked before any integration.  One
+    The scheme must march and the ladder needs at least three distinct positive
+    dts that each reach T > 0 in whole steps, checked before any work.  One
     oracle call gives the references and the starting rows of every run.
     """
     dt_list = sorted((float(d) for d in dts), reverse=True)
-    _check_ladder(prob, dt_list, T)
+    _check_ladder(scheme, dt_list, T)
     c_in = scheme.float_tables[2].tolist()
     ends = [float(T) + c * dt for dt in dt_list for c in c_in]
-    begins = [prob.t0 + c * dt for dt in dt_list for c in c_in]
+    begins = [c * dt for dt in dt_list for c in c_in]
     values, reference = _oracle(prob, ends + begins)
     # per half, per dt, one row per abscissa
     refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))

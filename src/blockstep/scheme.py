@@ -28,17 +28,20 @@ class Scheme:
     """An explicit block one-step method with exact coefficients."""
 
     name: str
-    s: int
     c_in: ExactVector
     c_out: ExactVector
     A: ExactMatrix
     B: ExactMatrix
 
+    @property
+    def s(self) -> int:  # block size
+        return len(self.c_in)
+
     def __post_init__(self):
         s = self.s
         if s < 1:
             raise ValueError("s must be positive")
-        if len(self.c_in) != s or len(self.c_out) != s:
+        if len(self.c_out) != s:
             raise ValueError(f"abscissae must have length s={s}")
         for label, M in (("A", self.A), ("B", self.B)):
             if len(M) != s or any(len(row) != s for row in M):
@@ -64,11 +67,9 @@ class Scheme:
 
 def make_scheme(name, c_in, c_out, A, B) -> Scheme:
     """Construct a Scheme from rational-like nested values."""
-    c_in = as_vector(c_in)
     return Scheme(
         name=str(name),
-        s=len(c_in),
-        c_in=c_in,
+        c_in=as_vector(c_in),
         c_out=as_vector(c_out),
         A=as_matrix(A),
         B=as_matrix(B),

@@ -155,7 +155,7 @@ def test_acceptance_7_property_suite():
 
     # f = 0 constancy drift within n * s * 2^-52 per component
     const = make_problem(
-        "const", 1, lambda t, u: np.zeros_like(u), lambda t: np.ones((1,) + np.shape(t)), [1.0]
+        "const", lambda t, u: np.zeros_like(u), lambda t: np.ones((1,) + np.shape(t)), [1.0]
     )
     n = 128
     for name in BUILTIN_NAMES:

@@ -276,6 +276,27 @@ def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys, argv):
     assert "wrote" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1e400"],
+        ["converge", "--scheme", "S2", "--problem", "P1", "--T", "1e400"],
+        ["stability", "--scheme", "S2", "--re=-1e400:1", "--n", "3"],
+        ["stability", "--scheme", "{big}", "--n", "3"],
+    ],
+    ids=["integrate-T", "converge-T", "stability-re", "stability-file"],
+)
+def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
+    # Exact rationals parse any size; turning one into a double overflows.
+    doc = {"name": "big", "s": 2, "c_in": ["1/2", "0"], "c_out": ["3/2", "1"],
+           "A": [["1e400", "1"], ["-1/6", "7/6"]], "B": [["1", "0"], ["0", "1"]]}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(big=big) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

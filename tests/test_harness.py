@@ -16,7 +16,7 @@ from blockstep.harness import (
 )
 from blockstep import harness
 from blockstep.integrate import NonFiniteReference, make_problem, problem
-from blockstep.scheme import builtin
+from blockstep.scheme import builtin, make_scheme
 
 
 def test_standard_ladder():
@@ -139,6 +139,16 @@ def test_converge_checks_the_ladder_before_any_work(dts, T, message):
         assert calls == [], name
 
 
+def test_converge_rejects_a_scheme_that_does_not_march_before_any_work():
+    s2 = builtin("S2")
+    stuck = make_scheme("stuck", s2.c_in, (F(2), F(1)), s2.A, s2.B)  # c_out[0] = c_in[0] + 3/2
+    for name in ("P1", "P2"):
+        prob, calls = _counting(problem(name))
+        with pytest.raises(ValueError, match="scheme does not march"):
+            converge(stuck, prob, dts=(0.125, 0.0625, 0.03125, 0.015625))
+        assert calls == [], name
+
+
 @pytest.mark.parametrize("scheme", ["S2", "S3A"])
 @pytest.mark.parametrize("name", ["P1", "P3", "P4"])
 def test_sweep_reference_matches_a_hidden_closed_form(scheme, name):
@@ -166,7 +176,7 @@ def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
     dts = (0.125, 0.0625, 0.03125, 0.015625)
     converge(builtin("S3A"), dataclasses.replace(prob, exact=exact), dts=dts)
     assert len(calls) == 1 + 2 * len(dts)
-    assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and t0 + c dt, c in c_in
+    assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and c dt, c in c_in
 
 
 def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
@@ -179,7 +189,7 @@ def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(harness, "rk4_reference", counted)
-    prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
+    prob = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteReference):
             converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125), T=2.0)

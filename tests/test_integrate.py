@@ -27,7 +27,6 @@ EPS = 2.0**-52
 def _constant_problem(value=1.0):
     return make_problem(
         "const",
-        1,
         lambda t, u: np.zeros_like(u),
         lambda t: np.full((1,) + np.shape(t), value),
         [value],
@@ -37,7 +36,7 @@ def _constant_problem(value=1.0):
 def _forced():
     # A non-autonomous oscillator: the march's grid times enter every stage.
     return make_problem(
-        "forced", 2, lambda t, u: np.array([t * u[1], -(1.0 + t * t) * u[0]]), None, [1.0, 0.0]
+        "forced", lambda t, u: np.array([t * u[1], -(1.0 + t * t) * u[0]]), None, [1.0, 0.0]
     )
 
 
@@ -66,9 +65,16 @@ def test_exact_solutions_satisfy_their_odes():
             assert np.allclose(du, prob.rhs(t, prob.exact(t)), atol=1e-7), name
 
 
+def test_problem_size_is_read_off_the_flattened_initial_value():
+    prob = make_problem("pair", lambda t, u: -u, None, [[1.0], [2.0]])
+    assert prob.u0.shape == (2,) and prob.dim == 2
+    assert dataclasses.replace(prob, u0=np.zeros(3)).dim == 3
+    assert [f.name for f in dataclasses.fields(prob)] == ["name", "rhs", "exact", "u0"]
+
+
 def test_make_problem_rejects_inconsistent_anchor():
     with pytest.raises(ValueError, match=r"exact\(t0\) does not match u0"):
-        make_problem("bad", 1, lambda t, u: u, lambda t: np.array([2.0]), [1.0])
+        make_problem("bad", lambda t, u: u, lambda t: np.array([2.0]), [1.0])
 
 
 @pytest.mark.parametrize(
@@ -83,7 +89,7 @@ def test_make_problem_rejects_inconsistent_anchor():
 )
 def test_make_problem_rejects_a_broken_batch_contract(dim, rhs, exact):
     with pytest.raises(ValueError, match="breaks the batch contract"):
-        make_problem("unbatched", dim, rhs, exact, [1.0] * dim)
+        make_problem("unbatched", rhs, exact, [1.0] * dim)
 
 
 def test_step_rejects_a_wrapper_that_breaks_the_batch_contract():
@@ -146,7 +152,7 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
 
 
 def test_dahlquist_step_is_the_amplification_matrix():
-    prob = make_dahlquist(-1.0)
+    prob = make_dahlquist()
     dt = 0.1
     for name in ("S2", "S3B"):
         sch = builtin(name)
@@ -179,7 +185,6 @@ def test_step_matches_hand_rolled_arithmetic():
 def test_step_flags_non_finite_immediately():
     prob = make_problem(
         "burst",
-        1,
         lambda t, u: np.full_like(u, np.inf),
         lambda t: np.ones((1,) + np.shape(t)),
         [1.0],
@@ -191,7 +196,7 @@ def test_step_flags_non_finite_immediately():
 
 
 def test_blowup_reports_the_failing_step():
-    prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
+    prob = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"non-finite state at step \d+"):
             integrate(builtin("S2"), prob, F(1, 4), 4.0)
@@ -207,7 +212,7 @@ def test_bootstrap_uses_exact_rows_when_available():
 
 def test_bootstrap_sweep_matches_exact_rows():
     # same right-hand side as P1 but with the exact solution withheld
-    hidden = make_problem("P1h", 1, lambda t, u: -u * u, None, [1.0])
+    hidden = make_problem("P1h", lambda t, u: -u * u, None, [1.0])
     for name in ("S2", "S3A"):
         sch = builtin(name)
         swept = bootstrap(sch, hidden, 0.1)
@@ -252,7 +257,7 @@ def _bootstrap_substeps(scheme, prob, dt, n_sub):
     u = values[-1] = prob.u0
     c_prev = 0.0
     for j in range(scheme.s - 2, -1, -1):
-        t_start = prob.t0 + c_prev * dt
+        t_start = c_prev * dt
         h = (c_in[j] - c_prev) * dt / n_sub
         for k in range(n_sub):
             u = rk4(t_start + k * h, u, h)
@@ -342,7 +347,7 @@ def test_integrate_requires_marching_abscissae():
 
 def test_linear_problem_equals_matrix_power():
     sch = builtin("S2")
-    prob = make_dahlquist(-1.0)
+    prob = make_dahlquist()
     dt = 1.0 / 16
     final = integrate(sch, prob, F(1, 16), 1.0, final_only=True)[-1]
     A = np.array([[float(x) for x in row] for row in sch.A])
@@ -367,7 +372,7 @@ def test_rk4_reference_rejects_unconverged_runs():
 
 
 def test_rk4_reference_serves_requested_times_like_separate_runs():
-    # Off-grid times, t0, T, unsorted, with a duplicate: one sweep agrees
+    # Off-grid times, 0, T, unsorted, with a duplicate: one sweep agrees
     # with a separate reference ending at each time.
     times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
     for name in ("P1", "P2"):
@@ -396,7 +401,7 @@ def test_rk4_reference_checks_every_requested_time():
     # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
     # midpoint, so the errors cancel at T = 1 but not at t = 1/2.
-    prob = make_problem("quintic", 1, lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
+    prob = make_problem("quintic", lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
     assert abs(rk4_reference(prob, 1.0, 4, [1.0])[0, 0]) < 1e-15
     with pytest.raises(ValueError, match="reference not converged"):
         rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
@@ -405,7 +410,7 @@ def test_rk4_reference_checks_every_requested_time():
 def test_rk4_reference_rejects_a_non_finite_march():
     # u' = -u^2, u(0) = -1 has a pole at t = 1: the march overflows, and the
     # doubling test alone would pass it (NaN >= 1e-12 is False).
-    prob = make_problem("pole", 1, lambda t, u: -u * u, None, [-1.0])
+    prob = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteReference, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, 8, [2.0])
@@ -448,8 +453,8 @@ def _measure_lte_rows(scheme, prob, dt, T):
     dtf = float(dt)
     A, B, c_in, c_out = scheme.float_tables
     worst, umax = np.zeros(scheme.s), 0.0
-    for n in range(round((T - prob.t0) / dtf)):
-        tn = prob.t0 + n * dtf
+    for n in range(round(T / dtf)):
+        tn = n * dtf
         U = np.array([prob.exact(tn + c * dtf) for c in c_in])
         U1 = np.array([prob.exact(tn + c * dtf) for c in c_out])
         F = np.array([prob.rhs(tn + c_in[j] * dtf, U[j]) for j in range(scheme.s)])

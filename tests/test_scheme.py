@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from blockstep.scheme import BUILTIN_NAMES, builtin, load, make_scheme, save
+from blockstep.scheme import BUILTIN_NAMES, Scheme, builtin, load, make_scheme, save
 
 
 def _scaled(den, rows):
@@ -173,7 +173,16 @@ def test_load_checks_declared_size(tmp_path):
 def test_scheme_is_immutable():
     sch = builtin("S2")
     with pytest.raises(AttributeError):
-        sch.s = 5
+        sch.c_in = (F(1), F(0))
+
+
+def test_block_size_is_read_off_the_input_abscissae():
+    sch = builtin("S3A")
+    assert [f.name for f in dataclasses.fields(sch)] == ["name", "c_in", "c_out", "A", "B"]
+    with pytest.raises(ValueError, match="abscissae must have length s=2"):
+        make_scheme("bad", [F(1, 2), 0], [2, F(3, 2), 1], [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="s must be positive"):
+        Scheme("empty", (), (), (), ())
 
 
 def test_float_tables_are_cached_and_read_only():
