@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__, analysis, derive, harness
 from . import scheme as sch
-from .exact import rat_str
+from .exact import rat_str, to_double
 from .integrate import integrate as run_integration
 from .integrate import problem as load_problem
 
@@ -207,8 +207,9 @@ def cmd_search(args) -> int:
 def cmd_integrate(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
-    blocks = run_integration(scheme, prob, args.dt, float(args.T))
-    dt = float(args.dt)
+    dt, T = to_double(args.dt, "--dt"), to_double(args.T, "--T")
+    # The exact --dt: whether T is reachable is decided in rationals first.
+    blocks = run_integration(scheme, prob, args.dt, T)
     if args.out:
         header = ["t"] + [f"component_{k}" for k in range(prob.dim)]
         harness.write_csv(args.out, header, ((b.t, *b.values[scheme.s - 1]) for b in blocks))
@@ -230,9 +231,10 @@ def cmd_integrate(args) -> int:
 def cmd_converge(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
-    dts = [float(d) for d in args.dts]
-    report = harness.converge(scheme, prob, dts, float(args.T))
-    print(f"{scheme.name} on {prob.name}, T={float(args.T):g}, reference: {report.reference}")
+    T = to_double(args.T, "--T")
+    dts = [to_double(d, "--dts") for d in args.dts]
+    report = harness.converge(scheme, prob, dts, T)
+    print(f"{scheme.name} on {prob.name}, T={T:g}, reference: {report.reference}")
     labels = ["err"] + (["lte"] if report.lte is not None else [])
     cols = [f"{x}[{j}]" for x in labels for j in range(scheme.s)]
     print(f"{'dt':>12s} " + " ".join(f"{c:>12s}" for c in cols))
@@ -254,11 +256,9 @@ def cmd_converge(args) -> int:
 
 def cmd_stability(args) -> int:
     scheme = _load_scheme(args.scheme)
-    re_lo, re_hi = args.re
-    im_lo, im_hi = args.im
-    re_vals, im_vals, rho = analysis.stability_scan(
-        scheme, (float(re_lo), float(re_hi)), (float(im_lo), float(im_hi)), args.n
-    )
+    re_box = [to_double(x, "--re") for x in args.re]
+    im_box = [to_double(x, "--im") for x in args.im]
+    re_vals, im_vals, rho = analysis.stability_scan(scheme, re_box, im_box, args.n)
     rows = ((x, y, rho[i, j]) for i, y in enumerate(im_vals) for j, x in enumerate(re_vals))
     harness.write_csv(args.out, ["re", "im", "rho"], rows)
     if args.out:

@@ -10,12 +10,15 @@ vector/matrix layer on top of it.
 Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
 integers instead of fractions with multiplied-out denominators.
+
+to_double is the one way from a rational to a double: a value beyond double
+range, or a nonzero one that rounds to 0.0, is an error that names it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import inf, isinf, lcm
 
 ExactVector = tuple[Fraction, ...]
 ExactMatrix = tuple[tuple[Fraction, ...], ...]
@@ -25,6 +28,20 @@ def rat_str(x: Fraction) -> str:
     """Serialize a rational as 'p/q', or just 'p' for integers."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def to_double(x, what: str) -> float:
+    """x rounded to a double; ValueError naming `what` (a flag or an entry)
+    when x is beyond double range or a nonzero x rounds to 0.0."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = inf
+    if isinf(value):
+        raise ValueError(f"{what} is too large for double precision")
+    if value == 0 and x != 0:
+        raise ValueError(f"{what} rounds to 0.0 in double precision")
+    return value
 
 
 def as_vector(entries) -> ExactVector:

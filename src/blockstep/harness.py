@@ -10,8 +10,11 @@ slope, a plain scheme shows equal slopes.
 Each study makes one oracle call for every time it needs: the reference
 values at T + c_j dt and the starting rows at c_j dt, for every dt of
 the ladder.  The oracle is the closed form when there is one, otherwise one
-doubling-verified RK4 sweep.  Nothing is kept between studies.  The ladder
-is checked before any of that work starts.
+doubling-verified RK4 sweep.  The final blocks of all dts come from one
+lockstep march (integrate.march, bound here as run_integration): one block
+step per time level for the whole ladder, so max N levels instead of sum N
+steps.  Nothing is kept between studies.  The ladder is checked before any
+of that work starts.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import NonFiniteReference, Problem, _check_marches, _step_count, measure_lte
-from .integrate import integrate as run_integration, rk4_reference
+from .exact import to_double
+from .integrate import NonFiniteReference, Problem, _check_marches, _grid, measure_lte
+from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
 
 STANDARD_DTS = (
@@ -108,17 +112,21 @@ def _slopes(dts, rows):
     return per_component, fit_slope(zip(dts, errs.max(axis=1)))
 
 
-def _check_ladder(scheme, dt_list, T):
-    # Every cause a study would otherwise fail on after doing its work.
+def _check_ladder(scheme, dts, T):
+    """(dts as doubles, largest first, T as a double), after checking every
+    cause a study would otherwise fail on after doing its work."""
     _check_marches(scheme)
+    dt_list = sorted((to_double(d, "dt") for d in dts), reverse=True)
     if len(dt_list) < 3:
         raise ValueError("need >=3 dt values")
     if len(set(dt_list)) != len(dt_list):
         raise ValueError("duplicate dt values")
-    if not float(T) > 0:
+    T = to_double(T, "T")
+    if not T > 0:
         raise ValueError("T must exceed t0 = 0")
     for dt in dt_list:
-        _step_count(dt, T)
+        _grid(dt, T)
+    return dt_list, T
 
 
 def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) -> ConvergenceReport:
@@ -128,19 +136,16 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
     dts that each reach T > 0 in whole steps, checked before any work.  One
     oracle call gives the references and the starting rows of every run.
     """
-    dt_list = sorted((float(d) for d in dts), reverse=True)
-    _check_ladder(scheme, dt_list, T)
+    dt_list, T = _check_ladder(scheme, dts, T)
     c_in = scheme.float_tables[2].tolist()
-    ends = [float(T) + c * dt for dt in dt_list for c in c_in]
+    ends = [T + c * dt for dt in dt_list for c in c_in]
     begins = [c * dt for dt in dt_list for c in c_in]
     values, reference = _oracle(prob, ends + begins)
     # per half, per dt, one row per abscissa
     refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))
 
-    global_err = []
-    for dt, ref, start in zip(dt_list, refs, starts):
-        final = run_integration(scheme, prob, dt, T, final_only=True, start=start)[-1]
-        global_err.append(np.abs(final.values - ref).max(axis=1))
+    finals = run_integration(scheme, prob, dt_list, T, starts)
+    global_err = [np.abs(final.values - ref).max(axis=1) for final, ref in zip(finals, refs)]
     lte = [measure_lte(scheme, prob, dt, T) for dt in dt_list] if prob.exact is not None else None
     global_slopes, maxnorm_global = _slopes(dt_list, global_err)
     lte_slopes, maxnorm_lte = _slopes(dt_list, lte)

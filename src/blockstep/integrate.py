@@ -9,6 +9,13 @@ where F evaluates the right-hand side on the whole block in one call (see
 Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
+One kernel, _advance, makes that step, with both finiteness checks, for one
+block (step, and so integrate) or for a stack of blocks (march).  march runs
+a whole dt ladder in lockstep: each time level advances every run still
+short of T with one rhs call and one combine, and its last blocks equal
+those of separate integrate runs bit for bit.  Every dt and T is turned into
+a double by exact.to_double, which names the value that leaves double range.
+
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
 truncation error of the exact solution under a scheme, over all steps at once.
@@ -18,7 +25,7 @@ set of times in [0, T]: each time off its grid gets one partial RK4 step
 from the grid value just before it.  bootstrap reads every starting row off
 one such march when there is no exact solution, and rk4_reference checks two
 of them against each other, so a convergence study takes its reference values
-and its starting rows (passed to integrate as `start`) from one verified sweep.
+and its starting rows (passed to march as `starts`) from one verified sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .exact import to_double
 from .scheme import Scheme
 
 
@@ -129,17 +137,30 @@ class BlockState:
     values: np.ndarray  # shape (s, dim), row j at time t + c_in[j] * dt
 
 
+def _advance(scheme: Scheme, prob: Problem, n: int, times, V: np.ndarray, dt) -> np.ndarray:
+    """The block step A V + dt B F(V) for blocks on step n, in one rhs call.
+
+    V is one block (s, dim) with step dt, or a stack of lanes (L, s, dim)
+    with dt of shape (L, 1, 1); times holds the time of every row, lane by
+    lane: base time + c_in[j] * dt.
+    """
+    A, B, _, _ = scheme.float_tables
+    rows = V.reshape(-1, V.shape[-1]).T  # every row of every lane as a column
+    F = prob.rhs(times, rows)
+    if F.shape != rows.shape:
+        raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
+    if not np.isfinite(F).all():
+        raise ValueError(f"non-finite state at step {n + 1}")
+    values = np.matmul(A, V) + dt * np.matmul(B, F.T.reshape(V.shape))
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite state at step {n + 1}")
+    return values
+
+
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    A, B, c_in, _ = scheme.float_tables
-    F = prob.rhs(state.t + c_in * dt, state.values.T).T  # one call, rows as columns
-    if F.shape != state.values.shape:
-        raise ValueError(f"rhs breaks the batch contract: {F.T.shape} for {state.values.T.shape}")
-    if not np.isfinite(F).all():
-        raise ValueError(f"non-finite state at step {state.n + 1}")
-    values = A.dot(state.values) + dt * B.dot(F)  # .dot: under half of @'s cost at this size
-    if not np.isfinite(values).all():
-        raise ValueError(f"non-finite state at step {state.n + 1}")
+    times = state.t + scheme.float_tables[2] * dt
+    values = _advance(scheme, prob, state.n, times, state.values, dt)
     # Block time from the step count: summing dt would drift for non-dyadic dt.
     return BlockState(n=state.n + 1, t=(state.n + 1) * dt, values=values)
 
@@ -180,18 +201,22 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     return BlockState(n=0, t=0.0, values=values)
 
 
-def _step_count(dt, T: float) -> int:
-    # Accept dt when T/dt is an integer exactly in rational arithmetic or
-    # within half an ulp in floating point; the caller adjusts dt otherwise.
-    if float(dt) <= 0:
+def _grid(dt, T) -> tuple[int, float]:
+    """(number of steps from 0 to T, dt as a double).
+
+    Accepts dt when T/dt is an integer exactly in rational arithmetic or
+    within half an ulp in floating point; the caller adjusts dt otherwise.
+    """
+    dtf, Tf = to_double(dt, "dt"), to_double(T, "T")
+    if dtf <= 0:
         raise ValueError("non-positive step")
-    ratio = Fraction(float(T)) / Fraction(dt)
+    ratio = Fraction(Tf) / Fraction(dt)
     if ratio.denominator == 1 and ratio >= 0:
-        return int(ratio)
-    x = float(T) / float(dt)
+        return int(ratio), dtf
+    x = Tf / dtf
     n = round(x)
     if n >= 0 and abs(x - n) <= 0.5 * math.ulp(max(1.0, abs(x))):
-        return n
+        return n, dtf
     raise ValueError("T not reachable with this dt")
 
 
@@ -201,43 +226,76 @@ def _check_marches(scheme: Scheme) -> None:
         raise ValueError("scheme does not march: c_out must equal c_in + 1")
 
 
+def _start_rows(scheme: Scheme, prob: Problem, start, lanes=()) -> np.ndarray:
+    # Given starting rows as a float array of shape lanes + (s, dim), all finite.
+    values = np.array(start, dtype=float)
+    need = tuple(lanes) + (scheme.s, prob.dim)
+    if values.shape != need:
+        raise ValueError(f"start rows have shape {values.shape}, need {need}")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite state at step 0")
+    return values
+
+
 def integrate(
     scheme: Scheme,
     prob: Problem,
     dt,
     T: float,
-    final_only: bool = False,
     start: Optional[np.ndarray] = None,
 ) -> list[BlockState]:
     """March the block from 0 until the abscissa-0 row sits at time T.
 
-    Returns every block, or with final_only just the last one, in a list.
-    dt may be a float or an exact Fraction; stepping always uses its double
-    rendering.  The scheme must march (_check_marches).  start, an (s, dim)
-    array with row j at c_in[j] * dt, replaces the bootstrap.
+    Returns every block, in a list.  dt may be a float or an exact Fraction;
+    stepping always uses its double rendering.  The scheme must march
+    (_check_marches).  start, an (s, dim) array with row j at c_in[j] * dt,
+    replaces the bootstrap.
     """
     _check_marches(scheme)
-    n_steps = _step_count(dt, T)
-    dtf = float(dt)
+    n_steps, dtf = _grid(dt, T)
     if start is None:
         state = bootstrap(scheme, prob, dtf)
     else:
-        values = np.array(start, dtype=float)
-        if values.shape != (scheme.s, prob.dim):
-            raise ValueError(
-                f"start rows have shape {values.shape}, need {(scheme.s, prob.dim)}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite state at step 0")
-        state = BlockState(n=0, t=0.0, values=values)
+        state = BlockState(n=0, t=0.0, values=_start_rows(scheme, prob, start))
     blocks = [state]
     for _ in range(n_steps):
         state = step(scheme, prob, state, dtf)
-        if final_only:
-            blocks[0] = state
-        else:
-            blocks.append(state)
+        blocks.append(state)
     return blocks
+
+
+def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockState]:
+    """The last block of integrate(scheme, prob, dt, T, start) for every dt of
+    a ladder, bit for bit, in the order of dts; starts holds one (s, dim)
+    array of starting rows per dt.
+
+    The runs advance in lockstep: time level k makes one rhs call and one
+    combine (_advance) for the stack of every run still short of T, each
+    lane at its own k * dt + c_in * dt.  Lanes are kept in decreasing order
+    of step count, so a run that reaches T leaves from the end of the stack,
+    and a study takes max N steps of Python work instead of sum N.
+    """
+    _check_marches(scheme)
+    grids = [_grid(dt, T) for dt in dts]
+    order = sorted(range(len(grids)), key=lambda i: -grids[i][0])
+    V = _start_rows(scheme, prob, starts, (len(grids),))[order]
+    lane_dt = np.array([grids[i][1] for i in order])
+    # Row r = l * s + j of the stack sits at k * dt_l + c_in[j] * dt_l.
+    row_dt = np.repeat(lane_dt, scheme.s)
+    row_offset = (scheme.float_tables[2] * lane_dt[:, None]).ravel()
+    lane_dt = lane_dt[:, None, None]
+    finals = [None] * len(grids)
+    live, k = len(order), 0
+    while True:
+        while live and grids[order[live - 1]][0] == k:
+            live -= 1
+            i = order[live]
+            finals[i] = BlockState(n=k, t=k * grids[i][1], values=V[live])
+        if not live:
+            return finals
+        r = live * scheme.s
+        V = _advance(scheme, prob, k, k * row_dt[:r] + row_offset[:r], V[:live], lane_dt[:live])
+        k += 1
 
 
 def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
@@ -299,8 +357,7 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
     """
     if prob.exact is None:
         raise ValueError("missing exact solution")
-    n_steps = _step_count(dt, T)
-    dtf = float(dt)
+    n_steps, dtf = _grid(dt, T)
     A, B, c_in, c_out = scheme.float_tables
     tn = np.arange(n_steps)[:, None] * dtf  # one row per step
     U, U1 = prob.exact(tn + c_in * dtf), prob.exact(tn + c_out * dtf)  # (dim, N, s)

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import ExactMatrix, ExactVector, as_matrix, as_vector, rat_str as _rat_str
+from .exact import ExactMatrix, ExactVector, as_matrix, as_vector, to_double
+from .exact import rat_str as _rat_str
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,18 @@ class Scheme:
 
     @cached_property
     def float_tables(self):
-        """Read-only (A, B, c_in, c_out) rounded to double, once per scheme."""
-        A, B = (np.array([[float(x) for x in row] for row in M]) for M in (self.A, self.B))
-        c_in, c_out = (np.array([float(x) for x in c]) for c in (self.c_in, self.c_out))
+        """Read-only (A, B, c_in, c_out) rounded to double, once per scheme;
+        an entry beyond double range, or one that rounds to 0.0, is an error
+        naming it (A[0][1])."""
+        A, B = (
+            np.array([[to_double(x, f"{label}[{i}][{j}]") for j, x in enumerate(row)]
+                      for i, row in enumerate(M)])
+            for label, M in (("A", self.A), ("B", self.B))
+        )
+        c_in, c_out = (
+            np.array([to_double(x, f"{label}[{j}]") for j, x in enumerate(c)])
+            for label, c in (("c_in", self.c_in), ("c_out", self.c_out))
+        )
         for arr in (A, B, c_in, c_out):
             arr.setflags(write=False)
         return A, B, c_in, c_out

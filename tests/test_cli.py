@@ -297,6 +297,40 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrate", "--dt", "1e-400", "--T", "1"], "--dt rounds to 0.0 in double precision"),
+        (["integrate", "--dt", "1e400", "--T", "1"], "--dt is too large for double precision"),
+        (["integrate", "--dt", "1/8", "--T", "1e400"], "--T is too large for double precision"),
+        (["converge", "--T", "1e-400", "--dts", "1e-401,1e-402,1e-403"],
+         "--T rounds to 0.0 in double precision"),
+        (["converge", "--dts", "1e-401,1e-402,1e-403"], "--dts rounds to 0.0 in double precision"),
+        (["converge", "--dts", "1e400,1/8,1/16"], "--dts is too large for double precision"),
+        (["converge", "--T", "1e400"], "--T is too large for double precision"),
+        (["stability", "--re=-1e400:1"], "--re is too large for double precision"),
+        (["stability", "--im=0:1e400"], "--im is too large for double precision"),
+        (["stability", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
+        (["converge", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
+    ],
+    ids=["integrate-dt-small", "integrate-dt-large", "integrate-T-large", "converge-T-small",
+         "converge-dts-small", "converge-dts-large", "converge-T-large", "stability-re",
+         "stability-im", "stability-file", "converge-file"],
+)
+def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, argv, message):
+    doc = {"name": "big", "s": 2, "c_in": ["1/2", "0"], "c_out": ["3/2", "1"],
+           "A": [["-1/6", "1e400"], ["-1/6", "7/6"]], "B": [["1", "0"], ["0", "1"]]}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    argv = [a.format(big=big) for a in argv]
+    if "--scheme" not in argv:
+        argv[1:1] = ["--scheme", "S2"]
+    if argv[0] != "stability":
+        argv += ["--problem", "P1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -9,6 +9,7 @@ from blockstep.exact import (
     rank,
     rat_str,
     solve_linear,
+    to_double,
 )
 
 A_S2 = as_matrix([[F(-1, 6), F(7, 6)], [F(-1, 6), F(7, 6)]])
@@ -24,6 +25,17 @@ def test_rat_str_formats():
     assert rat_str(F(-3, 2)) == "-3/2"
     assert rat_str(F(5)) == "5"
     assert rat_str(F(0)) == "0"
+
+
+def test_to_double_names_what_leaves_double_range():
+    assert to_double(F(1, 3), "x") == 1 / 3
+    assert to_double(0, "x") == 0.0 and to_double(-0.5, "x") == -0.5
+    for tiny in (F(1, 10**400), F(-1, 10**400)):
+        with pytest.raises(ValueError, match=r"^--dt rounds to 0.0 in double precision$"):
+            to_double(tiny, "--dt")
+    for huge in (F(10**400), F(-(10**400)), float("inf")):
+        with pytest.raises(ValueError, match=r"^A\[0\]\[1\] is too large for double precision$"):
+            to_double(huge, "A[0][1]")
 
 
 def test_matvec_kills_the_zero_eigenvector():

@@ -129,6 +129,9 @@ def _counting(prob):
         ((0.125, 0.0625, -0.03125), 1.0, "non-positive step"),
         ((0.125, 0.0625, 0.0), 1.0, "non-positive step"),
         ((0.125, 0.0625, 0.3), 1.0, "T not reachable with this dt"),
+        ((F(1, 10**401), F(1, 10**402), F(1, 10**403)), 1.0, "dt rounds to 0.0"),
+        ((0.125, 0.0625, 0.03125), F(1, 10**400), "T rounds to 0.0"),
+        ((0.125, 0.0625, 0.03125), F(10**400), "T is too large"),
     ],
 )
 def test_converge_checks_the_ladder_before_any_work(dts, T, message):

@@ -14,6 +14,7 @@ from blockstep.integrate import (
     integrate,
     make_dahlquist,
     make_problem,
+    march,
     measure_lte,
     problem,
     rk4_reference,
@@ -125,7 +126,7 @@ def test_long_run_constancy_drift_stays_within_budget():
     n = 128
     for name in BUILTIN_NAMES:
         sch = builtin(name)
-        final = integrate(sch, prob, F(1, n), 1.0, final_only=True)[-1]
+        final = integrate(sch, prob, F(1, n), 1.0)[-1]
         drift = np.max(np.abs(final.values - 1.0))
         assert drift <= n * sch.s * EPS, name
 
@@ -310,22 +311,106 @@ def test_integrate_p1_reaches_the_target():
     assert err16 < err8 / 6  # third-order scheme: halving dt cuts ~8x
 
 
-def test_integrate_final_only_matches_full_run():
-    full = integrate(builtin("S3C"), problem("P3"), F(1, 8), 1.0)
-    last = integrate(builtin("S3C"), problem("P3"), F(1, 8), 1.0, final_only=True)
-    assert len(last) == 1
-    assert np.array_equal(full[-1].values, last[0].values)
+def test_march_of_one_dt_matches_the_full_run():
+    sch, prob = builtin("S3C"), problem("P3")
+    full = integrate(sch, prob, F(1, 8), 1.0)
+    (last,) = march(sch, prob, [F(1, 8)], 1.0, [full[0].values])
+    assert (last.n, last.t) == (8, 1.0)
+    assert np.array_equal(full[-1].values, last.values)
     assert abs(full[-1].values[-1, 0] - math.exp(-1.0)) < 1e-3
 
 
+def _per_dt_finals(scheme, prob, dts, T, starts):
+    # The per-dt loop the lockstep march replaced, kept as its oracle: one
+    # integrate call per dt, each keeping its last block.
+    return [integrate(scheme, prob, dt, T, start=start)[-1] for dt, start in zip(dts, starts)]
+
+
+LADDERS = [(STANDARD_DTS, T) for T in (1.0, 2.0, 4.0)] + [
+    ((1 / 3, 1 / 5, 1 / 7, 1 / 10), 1.0),
+    ((0.5, 0.25, 0.1, 0.04), 2.0),
+    ((1 / 16, 1 / 4, 1 / 8, 1 / 4), 1.0),  # any order, repeats allowed
+]
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "forced"])
+def test_march_equals_the_per_dt_loop(name):
+    # Lanes of different dt share each rhs call and combine; every lane's
+    # arithmetic is its own run's, so the last blocks agree bit for bit, on
+    # non-dyadic dts and uneven step counts too, in the order of the ladder.
+    prob = _forced() if name == "forced" else problem(name)
+    for sch_name in BUILTIN_NAMES:
+        sch = builtin(sch_name)
+        for dts, T in LADDERS:
+            starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
+            finals = march(sch, prob, dts, T, starts)
+            for got, want in zip(finals, _per_dt_finals(sch, prob, dts, T, starts)):
+                assert (got.n, got.t) == (want.n, want.t), (sch_name, T)
+                assert np.array_equal(got.values, want.values), (sch_name, T, want.n)
+
+
+def test_march_rejects_non_finite_start_rows():
+    sch, prob = builtin("S2"), problem("P1")
+    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS[:3]]
+    starts[1] = np.array([[np.nan], [1.0]])
+    with pytest.raises(ValueError, match=r"^non-finite state at step 0$"):
+        march(sch, prob, STANDARD_DTS[:3], 1.0, starts)
+    with pytest.raises(ValueError, match=r"start rows have shape \(2, 2, 1\), need \(3, 2, 1\)"):
+        march(sch, prob, STANDARD_DTS[:3], 1.0, starts[:2])
+
+
+def test_march_fails_at_the_step_of_the_lane_that_blows_up():
+    # u' = -u^2, u(0) = -1 has a pole at t = 1.  Run alone to T = 4, S2
+    # overflows at step 12 with dt = 1/3, 13 with dt = 1/4 and 14 with
+    # dt = 1/5, so the march stops at level 12, where only the coarsest lane
+    # has blown up, and reports that lane's own step.
+    pole = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
+    sch = builtin("S2")
+    dts = [1 / 4, 1 / 3, 1 / 5]
+    starts = [bootstrap(sch, pole, dt, n_sub=1).values for dt in dts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = []
+        for dt, start in zip(dts, starts):
+            with pytest.raises(ValueError) as exc:
+                integrate(sch, pole, dt, 4.0, start=start)
+            alone.append(str(exc.value))
+        assert alone == [f"non-finite state at step {k}" for k in (13, 12, 14)]
+        with pytest.raises(ValueError, match=r"^non-finite state at step 12$"):
+            march(sch, pole, dts, 4.0, starts)
+        with pytest.raises(ValueError, match=r"^non-finite state at step 13$"):
+            march(sch, pole, dts[::2], 4.0, starts[::2])
+
+
+def test_march_rejects_an_rhs_that_breaks_the_batch_contract_on_a_stack():
+    # Good for one block of s = 2 rows, broken for more: integrate accepts
+    # it, the stacked call of the march does not.
+    prob = problem("P1")
+    narrow = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u)[:, :2])
+    sch = builtin("S2")
+    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS[:3]]
+    _per_dt_finals(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
+    with pytest.raises(ValueError, match=r"batch contract: \(1, 2\) for \(1, 6\)"):
+        march(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
+
+
+def test_step_counts_reject_values_beyond_double_range():
+    sch, prob = builtin("S2"), problem("P1")
+    with pytest.raises(ValueError, match=r"^dt rounds to 0.0 in double precision$"):
+        integrate(sch, prob, F(1, 10**400), 1.0)
+    with pytest.raises(ValueError, match=r"^T is too large for double precision$"):
+        integrate(sch, prob, F(1, 8), F(10**400))
+    with pytest.raises(ValueError, match=r"^dt rounds to 0.0 in double precision$"):
+        march(sch, prob, [F(1, 10**400)], 1.0, [[[1.0], [1.0]]])
+
+
 def test_integrate_accepts_float_step_that_lands_on_target():
-    final = integrate(builtin("S2"), problem("P1"), 0.1, 1.0, final_only=True)[-1]
+    final = integrate(builtin("S2"), problem("P1"), 0.1, 1.0)[-1]
     assert final.n == 10
 
 
 def test_block_time_does_not_drift_over_many_steps():
     # summing dt = 0.1 ten thousand times would end at 1000.0000000001588
-    final = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0, final_only=True)[-1]
+    final = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0)[-1]
     assert final.n == 10_000
     assert final.t == 1000.0
 
@@ -349,7 +434,7 @@ def test_linear_problem_equals_matrix_power():
     sch = builtin("S2")
     prob = make_dahlquist()
     dt = 1.0 / 16
-    final = integrate(sch, prob, F(1, 16), 1.0, final_only=True)[-1]
+    final = integrate(sch, prob, F(1, 16), 1.0)[-1]
     A = np.array([[float(x) for x in row] for row in sch.A])
     B = np.array([[float(x) for x in row] for row in sch.B])
     M = A + dt * (-1.0) * B
