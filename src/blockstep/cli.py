@@ -194,7 +194,8 @@ def cmd_search(args) -> int:
         scheme = derive.assemble(root.a, c_in, c_out, name=name)
         rep = analysis.verify_conditions(scheme)
         print(
-            f"root {i}: param={rat_str(root.param)} ({float(root.param):.17g}, exact), "
+            f"root {i}: param={rat_str(root.param)} "
+            f"({to_double(root.param, f'root {i} param'):.17g}, exact), "
             f"a={_vec_str(root.a)}, q={rep.q}, eis_residual={rat_str(rep.eis_residual)}"
         )
         if args.out_dir:

@@ -10,9 +10,9 @@ What remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
 (s-1)-parameter family of admissible a.  That constraint is affine in a: the
 right-hand sides above share the term a^T c_in^p across rows, so every row
 of d_{s+1} is kappa_i + lambda(a) with lambda linear and the same for all
-rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  The searches
-here walk 1-D slices of the family, on which the constraint is an affine
-function of the slice parameter with a single exact rational root.
+rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  So the
+constraint is w . a on the hyperplane, with w_k its value at the unit vector
+e_k, and each search root is one exact linear solve on that row.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def derive_scheme(a, c_in, c_out=None) -> DerivationResult:
 class SearchRoot:
     """A root of the EIS constraint along a search slice.
 
-    The constraint is affine along every slice, so each root is the exact
-    rational solution of a linear equation and exact is always True.
+    Each root is the exact rational solution of one linear equation on the
+    constraint's row, so exact is always True.
     """
 
     param: Fraction
@@ -105,30 +105,40 @@ class SearchRoot:
     exact: bool
 
 
-def _line_root(g, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """The root of the affine g in [lo, hi], as a list of at most one value.
+def _eis_row(s: int, c_in, c_out):
+    """Yield w_k = eis_constraint(e_k), k < s, so eis_constraint(a) = w . a."""
+    for k in range(s):
+        yield eis_constraint(tuple(int(i == k) for i in range(s)), c_in, c_out)
 
-    A constant g, zero included, has no isolated root and yields [].
+
+def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:
+    """The a with a^T 1 = 1, w . a = 0 and a_k = fixed[k], if t is in t_range.
+
+    The two free components i < j are a_i = t and a_j = rest - t, rest =
+    1 - sum(fixed.values()).  A w constant along that line, zero included,
+    has no isolated root and yields [].  w is read only after the range
+    check, so an empty range raises before any evaluation.
     """
+    lo, hi = Fraction(t_range[0]), Fraction(t_range[1])
     if lo > hi:
         raise ValueError("empty search range")
-    g0, g1 = g(Fraction(0)), g(Fraction(1))
-    if g(Fraction(2)) != 2 * g1 - g0:
-        raise ArithmeticError("constraint is not affine in the slice parameter")
-    if g1 == g0:
+    w = tuple(w)
+    i, j = (k for k in range(len(w)) if k not in fixed)
+    if w[i] == w[j]:
         return []
-    r = -g0 / (g1 - g0)
-    return [r] if lo <= r <= hi else []
+    rest = 1 - sum(fixed.values(), Fraction(0))
+    pinned = sum((w[k] * v for k, v in fixed.items()), Fraction(0))
+    t = (w[j] * rest + pinned) / (w[j] - w[i])
+    if not lo <= t <= hi:
+        return []
+    a = [fixed.get(k) for k in range(len(w))]
+    a[i], a[j] = t, rest - t
+    return [SearchRoot(param=t, a=tuple(a), exact=True)]
 
 
 def search_s2(c_in, c_out=None, a1_range=(-2, 2)) -> list[SearchRoot]:
     """Roots of a1 -> eis_constraint((a1, 1 - a1)) within a1_range."""
-    lo, hi = Fraction(a1_range[0]), Fraction(a1_range[1])
-
-    def g(t):
-        return eis_constraint((t, 1 - t), c_in, c_out)
-
-    return [SearchRoot(param=r, a=(r, 1 - r), exact=True) for r in _line_root(g, lo, hi)]
+    return _pinned_root(_eis_row(2, c_in, c_out), {}, a1_range)
 
 
 def search_s3_slice(
@@ -149,18 +159,5 @@ def search_s3_slice(
         raise ValueError("s=3 slice search requires three abscissae")
     if fixed_index not in (0, 1, 2):
         raise ValueError("fixed_index must be 0, 1, or 2")
-    v = Fraction(fixed_value)
-    i, j = (k for k in range(3) if k != fixed_index)
-    lo, hi = Fraction(t_range[0]), Fraction(t_range[1])
-
-    def a_of(t):
-        a = [Fraction(0)] * 3
-        a[fixed_index] = v
-        a[i] = t
-        a[j] = 1 - v - t
-        return tuple(a)
-
-    def g(t):
-        return eis_constraint(a_of(t), c_in, c_out)
-
-    return [SearchRoot(param=r, a=a_of(r), exact=True) for r in _line_root(g, lo, hi)]
+    fixed = {fixed_index: Fraction(fixed_value)}
+    return _pinned_root(_eis_row(3, c_in, c_out), fixed, t_range)

@@ -183,6 +183,7 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     stays far below any order visible at these step sizes.  Row s - 1 sits
     at 0 and is u0 itself.
     """
+    dt = to_double(dt, "dt")
     if dt <= 0:
         raise ValueError("non-positive step")
     if n_sub < 1:

@@ -10,9 +10,10 @@ benchmark run breaks.
 
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
-from blockstep import analysis, harness
+from blockstep import analysis, derive, harness
 from blockstep.integrate import PROBLEM_NAMES, problem
 from blockstep.scheme import BUILTIN_NAMES, builtin
 
@@ -66,3 +67,15 @@ def test_traced_cold_study_makes_one_reference_sweep():
     assert not any(r[spans.NAME] == "integrate.bootstrap" for r in tracer.spans)
     calls, retries, distinct = tracer.reference_work()
     assert (calls, retries, distinct) == (1, 0, 1)
+
+
+def test_traced_searches_evaluate_the_constraint_once_per_component():
+    # derive.eis_constraint.calls per search is the constraint's row: s
+    # evaluations, one per unit vector, and none for the root itself.
+    spans = _load("spans")
+    for search, s in ((lambda: derive.search_s2((1, 0)), 2),
+                      (lambda: derive.search_s3_slice(0, Fraction(467, 768), (-3, 3)), 3)):
+        tracer = spans.Tracer()
+        with tracer.patched():
+            assert len(search()) == 1
+        assert tracer.counts["derive.eis_constraint"] == s

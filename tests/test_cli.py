@@ -154,6 +154,21 @@ def test_search_empty_range(capsys):
     assert "no roots in range" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cin=2/3,1/3,0"], "dimension mismatch: a, c_in, c_out must share length"),
+        (["--fix", "0=1/2", "--cin=1,0"], "s=3 slice search requires three abscissae"),
+        (["--fix", "3=1/2"], "fixed_index must be 0, 1, or 2"),
+        (["--range=1:0"], "empty search range"),
+        (["--cin=1,1"], "singular moment matrix"),
+    ],
+    ids=["s2-three-abscissae", "s3-two-abscissae", "fix-index", "range", "singular"],
+)
+def test_search_input_errors(capsys, argv, message):
+    assert run(capsys, "search", *argv) == (1, "", f"error: {message}\n")
+
+
 def test_integrate_writes_trajectory(tmp_path, capsys):
     csv = tmp_path / "p1.csv"
     code, out, err = run(
@@ -265,6 +280,8 @@ def test_stability_csv(tmp_path, capsys):
         ["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1", "--out"],
         ["stability", "--scheme", "S2", "--n", "2", "--out"],
         ["converge", "--scheme", "S2", "--problem", "P1", "--dts", "1/8,1/16,1/32", "--csv"],
+        ["derive", "--a=-1/6,7/6", "--out"],
+        ["search", "--out-dir"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -312,10 +329,12 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
         (["stability", "--im=0:1e400"], "--im is too large for double precision"),
         (["stability", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["converge", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
+        (["search", "--cin=1e-400,0", "--range=-1e500:1e500"],
+         "root 0 param is too large for double precision"),
     ],
     ids=["integrate-dt-small", "integrate-dt-large", "integrate-T-large", "converge-T-small",
          "converge-dts-small", "converge-dts-large", "converge-T-large", "stability-re",
-         "stability-im", "stability-file", "converge-file"],
+         "stability-im", "stability-file", "converge-file", "search-root"],
 )
 def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, argv, message):
     doc = {"name": "big", "s": 2, "c_in": ["1/2", "0"], "c_out": ["3/2", "1"],
@@ -323,9 +342,9 @@ def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, arg
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))
     argv = [a.format(big=big) for a in argv]
-    if "--scheme" not in argv:
+    if argv[0] != "search" and "--scheme" not in argv:
         argv[1:1] = ["--scheme", "S2"]
-    if argv[0] != "stability":
+    if argv[0] in ("integrate", "converge"):
         argv += ["--problem", "P1"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

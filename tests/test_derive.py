@@ -6,7 +6,8 @@ import pytest
 from blockstep.analysis import residual_vector, verify_conditions
 from blockstep.derive import (
     S3_C_IN,
-    _line_root,
+    SearchRoot,
+    _pinned_root,
     assemble,
     derive_scheme,
     eis_constraint,
@@ -152,27 +153,43 @@ def test_search_s3_slice_validates_inputs():
         search_s3_slice(0, F(1, 2), c_in=(F(1, 2), F(0)))
 
 
-# ----- the affine root solve on synthetic constraints ----------------------
+# ----- the root solve on synthetic constraint rows -------------------------
 
 
-def test_slice_roots_linear_and_constant():
-    assert _line_root(lambda t: 2 * t - 3, F(0), F(2)) == [F(3, 2)]
-    assert _line_root(lambda t: 2 * t - 3, F(0), F(1)) == []
-    assert _line_root(lambda t: F(4), F(0), F(1)) == []
-    assert _line_root(lambda t: F(0), F(0), F(1)) == []
+def _params(w, fixed, lo, hi):
+    return [r.param for r in _pinned_root(w, fixed, (lo, hi))]
 
 
-def test_slice_roots_point_range():
-    assert _line_root(lambda t: t - 2, F(1), F(1)) == []
-    assert _line_root(lambda t: t - 1, F(1), F(1)) == [F(1)]
+def test_pinned_root_solves_the_row_and_keeps_the_hyperplane():
+    # w . (t, 1 - t) = 2t - 3(1 - t) vanishes at t = 3/5.
+    (root,) = _pinned_root((F(2), F(-3)), {}, (0, 2))
+    assert root == SearchRoot(param=F(3, 5), a=(F(3, 5), F(2, 5)), exact=True)
+    # Pinning a_1 = 1/2 leaves a_0 = t, a_2 = 1/2 - t: t + 1 + (1/2 - t) * 4 = 0.
+    (root,) = _pinned_root((F(1), F(2), F(4)), {1: F(1, 2)}, (-2, 2))
+    assert root.a == (F(1), F(1, 2), F(-1, 2)) and sum(root.a) == 1
+    assert _params((F(1), F(2), F(4), F(8)), {0: F(1), 3: F(0)}, -2, 2) == [F(1, 2)]
 
 
-def test_slice_roots_validates_arguments():
-    with pytest.raises(ValueError, match="empty search range"):
-        _line_root(lambda t: t, F(1), F(0))
+def test_pinned_root_of_a_constant_or_zero_row_is_empty():
+    assert _params((F(4), F(4)), {}, 0, 1) == []
+    assert _params((F(0), F(0)), {}, 0, 1) == []
+    assert _params((F(5), F(4), F(5)), {1: F(3)}, -10, 10) == []
 
 
-def test_slice_roots_rejects_higher_degree():
-    for g in (lambda t: t * t, lambda t: t**3):
-        with pytest.raises(ArithmeticError, match="not affine"):
-            _line_root(g, F(-2), F(2))
+def test_pinned_root_outside_the_range_is_empty():
+    assert _params((F(2), F(-3)), {}, 0, F(1, 2)) == []
+    assert _params((F(2), F(-3)), {}, F(4, 5), 2) == []
+
+
+def test_pinned_root_on_a_point_range():
+    assert _params((F(1), F(-1)), {}, 1, 1) == []
+    assert _params((F(1), F(-1)), {}, F(1, 2), F(1, 2)) == [F(1, 2)]
+
+
+def test_pinned_root_rejects_an_empty_range_before_reading_the_row():
+    def row():
+        raise AssertionError("row read")
+        yield
+
+    with pytest.raises(ValueError, match="^empty search range$"):
+        _pinned_root(row(), {}, (1, 0))

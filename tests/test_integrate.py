@@ -236,6 +236,15 @@ def test_bootstrap_rejects_non_positive_step():
         bootstrap(builtin("S2"), problem("P1"), -0.1)
 
 
+def test_bootstrap_takes_an_exact_step_as_its_double():
+    for name in ("P1", "P2"):
+        exact = bootstrap(builtin("S2"), problem(name), F(1, 16))
+        double = bootstrap(builtin("S2"), problem(name), 0.0625)
+        assert np.array_equal(exact.values, double.values), name
+    with pytest.raises(ValueError, match="^dt rounds to 0.0 in double precision$"):
+        bootstrap(builtin("S2"), problem("P1"), F(1, 10**400))
+
+
 def test_bootstrap_rejects_non_positive_substep_count():
     for n_sub in (0, -5):
         with pytest.raises(ValueError, match="n_sub must be >= 1"):
