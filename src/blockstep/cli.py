@@ -208,18 +208,20 @@ def cmd_search(args) -> int:
 def cmd_integrate(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
-    dt, T = to_double(args.dt, "--dt"), to_double(args.T, "--T")
-    # The exact --dt: whether T is reachable is decided in rationals first.
-    blocks = run_integration(scheme, prob, args.dt, T)
+    dt = to_double(args.dt, "--dt")
+    to_double(args.T, "--T")
+    # The exact --dt and --T: whether T is reachable is decided in rationals first.
+    blocks = run_integration(scheme, prob, args.dt, args.T)
     if args.out:
         header = ["t"] + [f"component_{k}" for k in range(prob.dim)]
-        harness.write_csv(args.out, header, ((b.t, *b.values[scheme.s - 1]) for b in blocks))
+        harness.write_csv(args.out, header, ((b.n * dt, *b.values[scheme.s - 1]) for b in blocks))
         print(f"wrote {args.out}")
     final = blocks[-1]
+    t = final.n * dt
     if prob.exact is not None:
-        ref = prob.exact(final.t + scheme.float_tables[2] * dt).T
+        ref = prob.exact(t + scheme.float_tables[2] * dt).T
         errs = abs(final.values - ref).max(axis=1)
-    print(f"final base time t={final.t:.17g} after {final.n} steps of dt={dt:.17g}")
+    print(f"final base time t={t:.17g} after {final.n} steps of dt={dt:.17g}")
     for j in range(scheme.s):
         vals = ", ".join(format(v, ".17g") for v in final.values[j])
         line = f"  c_in={rat_str(scheme.c_in[j])}: ({vals})"
@@ -233,8 +235,9 @@ def cmd_converge(args) -> int:
     scheme = _load_scheme(args.scheme)
     prob = load_problem(args.problem)
     T = to_double(args.T, "--T")
-    dts = [to_double(d, "--dts") for d in args.dts]
-    report = harness.converge(scheme, prob, dts, T)
+    for d in args.dts:
+        to_double(d, "--dts")
+    report = harness.converge(scheme, prob, args.dts, args.T)
     print(f"{scheme.name} on {prob.name}, T={T:g}, reference: {report.reference}")
     labels = ["err"] + (["lte"] if report.lte is not None else [])
     cols = [f"{x}[{j}]" for x in labels for j in range(scheme.s)]

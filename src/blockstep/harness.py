@@ -8,13 +8,14 @@ orders: an error-inhibiting scheme shows a global slope one above its LTE
 slope, a plain scheme shows equal slopes.
 
 Each study makes one oracle call for every time it needs: the reference
-values at T + c_j dt and the starting rows at c_j dt, for every dt of
-the ladder.  The oracle is the closed form when there is one, otherwise one
-doubling-verified RK4 sweep.  The final blocks of all dts come from one
-lockstep march (integrate.march, bound here as run_integration): one block
-step per time level for the whole ladder, so max N levels instead of sum N
-steps.  Nothing is kept between studies.  The ladder is checked before any
-of that work starts.
+values at n dt + c_j dt, the row times of the final block, and the starting
+rows at c_j dt, for every dt of the ladder.  The oracle is the closed form
+when there is one, otherwise one doubling-verified RK4 sweep.  The final
+blocks of all dts come from one lockstep march (integrate.march, bound here
+as run_integration): one block step per time level for the whole ladder, so
+max N levels instead of sum N steps.  Nothing is kept between studies.  The
+ladder is checked before any of that work starts, its step counts decided by
+integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach T = 3/10).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .exact import to_double
 from .integrate import NonFiniteReference, Problem, _check_marches, _grid, measure_lte
 from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
@@ -113,20 +113,18 @@ def _slopes(dts, rows):
 
 
 def _check_ladder(scheme, dts, T):
-    """(dts as doubles, largest first, T as a double), after checking every
-    cause a study would otherwise fail on after doing its work."""
+    """(dt as given, step count, dt as a double) per dt, largest first, after
+    checking every cause a study would otherwise fail on after doing its
+    work.  _grid decides each step count once, on dt and T as given."""
     _check_marches(scheme)
-    dt_list = sorted((to_double(d, "dt") for d in dts), reverse=True)
-    if len(dt_list) < 3:
-        raise ValueError("need >=3 dt values")
-    if len(set(dt_list)) != len(dt_list):
-        raise ValueError("duplicate dt values")
-    T = to_double(T, "T")
     if not T > 0:
         raise ValueError("T must exceed t0 = 0")
-    for dt in dt_list:
-        _grid(dt, T)
-    return dt_list, T
+    ladder = sorted(((dt, *_grid(dt, T)) for dt in dts), key=lambda rung: -rung[2])
+    if len(ladder) < 3:
+        raise ValueError("need >=3 dt values")
+    if len({dtf for _, _, dtf in ladder}) != len(ladder):
+        raise ValueError("duplicate dt values")
+    return ladder
 
 
 def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) -> ConvergenceReport:
@@ -136,17 +134,18 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
     dts that each reach T > 0 in whole steps, checked before any work.  One
     oracle call gives the references and the starting rows of every run.
     """
-    dt_list, T = _check_ladder(scheme, dts, T)
+    given, steps, dt_list = map(list, zip(*_check_ladder(scheme, dts, T)))
     c_in = scheme.float_tables[2].tolist()
-    ends = [T + c * dt for dt in dt_list for c in c_in]
-    begins = [c * dt for dt in dt_list for c in c_in]
+    # The final block's row times, in the march's arithmetic.
+    ends = [n * dtf + c * dtf for n, dtf in zip(steps, dt_list) for c in c_in]
+    begins = [c * dtf for dtf in dt_list for c in c_in]
     values, reference = _oracle(prob, ends + begins)
     # per half, per dt, one row per abscissa
     refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))
 
-    finals = run_integration(scheme, prob, dt_list, T, starts)
+    finals = run_integration(scheme, prob, given, T, starts)
     global_err = [np.abs(final.values - ref).max(axis=1) for final, ref in zip(finals, refs)]
-    lte = [measure_lte(scheme, prob, dt, T) for dt in dt_list] if prob.exact is not None else None
+    lte = [measure_lte(scheme, prob, dt, T) for dt in given] if prob.exact is not None else None
     global_slopes, maxnorm_global = _slopes(dt_list, global_err)
     lte_slopes, maxnorm_lte = _slopes(dt_list, lte)
 

@@ -13,8 +13,10 @@ One kernel, _advance, makes that step, with both finiteness checks, for one
 block (step, and so integrate) or for a stack of blocks (march).  march runs
 a whole dt ladder in lockstep: each time level advances every run still
 short of T with one rhs call and one combine, and its last blocks equal
-those of separate integrate runs bit for bit.  Every dt and T is turned into
-a double by exact.to_double, which names the value that leaves double range.
+those of separate step-by-step runs bit for bit.  _grid decides each run's
+step count on dt and T exactly as given (dt = 1/3 reaches T = 5/3), and
+exact.to_double renders each value to double once, naming a value that
+leaves double range.  A block stores its step count n; its time is n * dt.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
@@ -133,8 +135,7 @@ def problem(name: str) -> Problem:
 @dataclass
 class BlockState:
     n: int
-    t: float
-    values: np.ndarray  # shape (s, dim), row j at time t + c_in[j] * dt
+    values: np.ndarray  # shape (s, dim), row j at time n * dt + c_in[j] * dt
 
 
 def _advance(scheme: Scheme, prob: Problem, n: int, times, V: np.ndarray, dt) -> np.ndarray:
@@ -159,10 +160,9 @@ def _advance(scheme: Scheme, prob: Problem, n: int, times, V: np.ndarray, dt) ->
 
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    times = state.t + scheme.float_tables[2] * dt
+    times = state.n * dt + scheme.float_tables[2] * dt
     values = _advance(scheme, prob, state.n, times, state.values, dt)
-    # Block time from the step count: summing dt would drift for non-dyadic dt.
-    return BlockState(n=state.n + 1, t=(state.n + 1) * dt, values=values)
+    return BlockState(n=state.n + 1, values=values)
 
 
 def _rk4_step(rhs, t, u, h):
@@ -199,19 +199,20 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
         values = _rk4_sweep(prob, times[0], (s - 1) * n_sub, times)
     if not np.isfinite(values).all():
         raise ValueError("non-finite state at step 0")
-    return BlockState(n=0, t=0.0, values=values)
+    return BlockState(n=0, values=values)
 
 
 def _grid(dt, T) -> tuple[int, float]:
-    """(number of steps from 0 to T, dt as a double).
+    """(number of steps from 0 to T, dt as a double); every run's grid is decided here.
 
-    Accepts dt when T/dt is an integer exactly in rational arithmetic or
-    within half an ulp in floating point; the caller adjusts dt otherwise.
+    Accepts dt when T/dt, on dt and T as given, is an integer in rational
+    arithmetic, or within half an ulp in floating point (dt = 0.1 to T = 1.0);
+    the caller adjusts dt otherwise.
     """
     dtf, Tf = to_double(dt, "dt"), to_double(T, "T")
     if dtf <= 0:
         raise ValueError("non-positive step")
-    ratio = Fraction(Tf) / Fraction(dt)
+    ratio = Fraction(T) / Fraction(dt)
     if ratio.denominator == 1 and ratio >= 0:
         return int(ratio), dtf
     x = Tf / dtf
@@ -227,7 +228,7 @@ def _check_marches(scheme: Scheme) -> None:
         raise ValueError("scheme does not march: c_out must equal c_in + 1")
 
 
-def _start_rows(scheme: Scheme, prob: Problem, start, lanes=()) -> np.ndarray:
+def _start_rows(scheme: Scheme, prob: Problem, start, lanes) -> np.ndarray:
     # Given starting rows as a float array of shape lanes + (s, dim), all finite.
     values = np.array(start, dtype=float)
     need = tuple(lanes) + (scheme.s, prob.dim)
@@ -238,26 +239,16 @@ def _start_rows(scheme: Scheme, prob: Problem, start, lanes=()) -> np.ndarray:
     return values
 
 
-def integrate(
-    scheme: Scheme,
-    prob: Problem,
-    dt,
-    T: float,
-    start: Optional[np.ndarray] = None,
-) -> list[BlockState]:
-    """March the block from 0 until the abscissa-0 row sits at time T.
+def integrate(scheme: Scheme, prob: Problem, dt, T) -> list[BlockState]:
+    """March from the bootstrap until the abscissa-0 row sits at time T.
 
-    Returns every block, in a list.  dt may be a float or an exact Fraction;
-    stepping always uses its double rendering.  The scheme must march
-    (_check_marches).  start, an (s, dim) array with row j at c_in[j] * dt,
-    replaces the bootstrap.
+    Returns every block, in a list.  dt and T may be floats or exact
+    Fractions; _grid decides the step count on them as given, and stepping
+    uses dt's double rendering.  The scheme must march (_check_marches).
     """
     _check_marches(scheme)
     n_steps, dtf = _grid(dt, T)
-    if start is None:
-        state = bootstrap(scheme, prob, dtf)
-    else:
-        state = BlockState(n=0, t=0.0, values=_start_rows(scheme, prob, start))
+    state = bootstrap(scheme, prob, dtf)
     blocks = [state]
     for _ in range(n_steps):
         state = step(scheme, prob, state, dtf)
@@ -266,9 +257,9 @@ def integrate(
 
 
 def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockState]:
-    """The last block of integrate(scheme, prob, dt, T, start) for every dt of
-    a ladder, bit for bit, in the order of dts; starts holds one (s, dim)
-    array of starting rows per dt.
+    """The last block of stepping from the given starting rows to T for every
+    dt of a ladder, bit for bit, in the order of dts; starts holds one
+    (s, dim) array of starting rows per dt.
 
     The runs advance in lockstep: time level k makes one rhs call and one
     combine (_advance) for the stack of every run still short of T, each
@@ -291,7 +282,7 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockSta
         while live and grids[order[live - 1]][0] == k:
             live -= 1
             i = order[live]
-            finals[i] = BlockState(n=k, t=k * grids[i][1], values=V[live])
+            finals[i] = BlockState(n=k, values=V[live])
         if not live:
             return finals
         r = live * scheme.s

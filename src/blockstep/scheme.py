@@ -182,7 +182,7 @@ def load(path) -> Scheme:
     missing = _FIELDS - set(doc)
     if missing:
         raise ValueError(f"missing field: {', '.join(sorted(missing))}")
-    if not isinstance(doc["s"], int):
+    if not isinstance(doc["s"], int) or isinstance(doc["s"], bool):
         raise ValueError("s: expected an integer")
     for key in ("c_in", "c_out"):
         if not isinstance(doc[key], list):

@@ -205,6 +205,24 @@ def test_integrate_misaligned_step(capsys):
     assert "error: T not reachable with this dt" in err
 
 
+REACHABLE_IN_RATIONALS = {
+    ("integrate", "--dt", "1/3", "--T", "5/3"): "after 5 steps of dt=0.33333333333333331",
+    ("integrate", "--dt", "0.1", "--T", "0.3"): "after 3 steps of dt=0.10000000000000001",
+    ("converge", "--dts", "0.1,0.05,0.025", "--T", "0.3"): "S2 on P3, T=0.3",
+}
+
+
+@pytest.mark.parametrize("argv, line", REACHABLE_IN_RATIONALS.items(),
+                         ids=[" ".join(argv) for argv in REACHABLE_IN_RATIONALS])
+def test_horizons_reachable_in_rationals_run(capsys, argv, line):
+    # The doubles of these values miss T by more than half an ulp; their
+    # rationals reach it in whole steps.
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--scheme", "S2", "--problem", "P3", *rest)
+    assert (code, err) == (0, "")
+    assert line in out
+
+
 def test_unknown_scheme(capsys):
     code, out, err = run(capsys, "verify", "NOPE")
     assert code == 1

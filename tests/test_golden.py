@@ -135,6 +135,16 @@ final base time t=1 after 8 steps of dt=0.125
   c_in=1/3: (1.0721407380888932, -1.6135475668115333)
   c_in=0: (1.1384588538535232, -1.5689426364014556)
 """,
+    # A decimal ladder whose doubles miss T = 0.3: reachable in rationals.
+    ("converge", "--scheme", "S2", "--problem", "P3", "--dts", "0.1,0.05,0.025", "--T", "0.3"): """\
+S2 on P3, T=0.3, reference: exact
+          dt       err[0]       err[1]       lte[0]       lte[1]
+         0.1   1.5288e-04   9.8361e-06   2.6371e-03   3.7946e-04
+        0.05   1.9281e-05   1.9859e-06   6.7868e-04   9.7312e-05
+       0.025   2.4164e-06   3.0087e-07   1.7216e-04   2.4640e-05
+global slopes: [2.992, 2.515]  max-norm: 2.992
+lte slopes:    [1.969, 1.972]  max-norm: 1.969
+""",
     ("stability", "--scheme", "S2", "--n", "3"): """\
 re,im,rho
 -3,-3,7.7642500455072776

@@ -15,8 +15,8 @@ from blockstep.harness import (
     fit_slope,
 )
 from blockstep import harness
-from blockstep.integrate import NonFiniteReference, make_problem, problem
-from blockstep.scheme import builtin, make_scheme
+from blockstep.integrate import NonFiniteReference, make_problem, march, problem
+from blockstep.scheme import BUILTIN_NAMES, builtin, make_scheme
 
 
 def test_standard_ladder():
@@ -103,6 +103,41 @@ def test_converge_without_exact_uses_verified_reference():
     assert 3.75 <= rep.maxnorm_global_slope <= 4.25
     again = converge(builtin("S3A"), problem("P2"), dts=(F(1, 8), F(1, 16), F(1, 32)))
     assert again.maxnorm_global_slope == rep.maxnorm_global_slope
+
+
+def _bits(report):
+    # Every field of a report, arrays as raw bytes: equal bits, not close values.
+    return [
+        v if v is None or isinstance(v, str) else np.asarray(v, dtype=float).tobytes()
+        for v in (getattr(report, f.name) for f in dataclasses.fields(report))
+    ]
+
+
+def test_float_and_fraction_ladders_take_one_path():
+    # Benchmarks pass doubles, the CLI passes Fractions: the same grid.
+    fractions = [F(1, 2**k) for k in range(3, 8)]
+    for name in ("P1", "P2", "P4"):
+        for sch_name in ("S2", "S3A"):
+            sch, prob = builtin(sch_name), problem(name)
+            floats = converge(sch, prob, dts=STANDARD_DTS, T=1.0)
+            exact = converge(sch, prob, dts=fractions, T=F(1))
+            assert _bits(floats) == _bits(exact), (name, sch_name)
+
+
+def test_references_are_read_off_the_grid_the_march_ran():
+    # n dt misses T = 3/10 in doubles (3 * 0.1 is 0.30000000000000004): each
+    # reference row sits at a row time of the final block, n dt + c_in dt.
+    prob = problem("P3")
+    dts, T = (F(1, 10), F(1, 20), F(1, 40)), F(3, 10)
+    for sch_name in BUILTIN_NAMES:
+        sch = builtin(sch_name)
+        c_in = sch.float_tables[2]
+        report = converge(sch, prob, dts=dts, T=T)
+        starts = [prob.exact(c_in * float(dt)).T for dt in dts]
+        for dt, final, err in zip(dts, march(sch, prob, dts, T, starts), report.global_err):
+            rows = final.n * float(dt) + c_in * float(dt)
+            want = np.abs(final.values - prob.exact(rows).T).max(axis=1)
+            assert np.array_equal(err, want), (sch_name, dt)
 
 
 def test_converge_rejects_duplicate_dts():

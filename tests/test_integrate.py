@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,7 @@ from blockstep.integrate import (
     PROBLEM_NAMES,
     BlockState,
     NonFiniteReference,
+    _grid,
     bootstrap,
     integrate,
     make_dahlquist,
@@ -144,9 +146,9 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
             for dt in (0.125, 1 / 3, 0.0078125):
                 for n in range(20):
                     V = rng.uniform(-3.0, 3.0, size=(sch.s, 2))
-                    state = bootstrap(sch, prob, dt) if n == 0 else BlockState(n, n * dt, V)
+                    state = bootstrap(sch, prob, dt) if n == 0 else BlockState(n, V)
                     V = state.values
-                    F_rows = np.array([prob.rhs(state.t + c * dt, v) for c, v in zip(c_in, V)])
+                    F_rows = np.array([prob.rhs(n * dt + c * dt, v) for c, v in zip(c_in, V)])
                     oracle = A @ V + dt * (B @ F_rows)
                     after = step(sch, prob, state, dt).values
                     assert np.array_equal(after, oracle), (prob.name, name, dt, n)
@@ -180,7 +182,6 @@ def test_step_matches_hand_rolled_arithmetic():
         hand = Ai[0] * v[0] + Ai[1] * v[1] + dt * (Bi[0] * f[0] + Bi[1] * f[1])
         assert after.values[i, 0] == pytest.approx(hand, abs=5 * np.spacing(abs(hand)))
     assert after.n == 1
-    assert after.t == pytest.approx(dt, abs=0)
 
 
 def test_step_flags_non_finite_immediately():
@@ -208,7 +209,7 @@ def test_bootstrap_uses_exact_rows_when_available():
     state = bootstrap(sch, problem("P1"), 0.1)
     assert state.values[0, 0] == pytest.approx(1.0 / 1.05, rel=1e-15)
     assert state.values[1, 0] == 1.0
-    assert state.n == 0 and state.t == 0.0
+    assert state.n == 0
 
 
 def test_bootstrap_sweep_matches_exact_rows():
@@ -311,7 +312,7 @@ def test_bootstrap_of_a_one_row_scheme_is_the_initial_value():
 def test_integrate_p1_reaches_the_target():
     blocks = integrate(builtin("S2"), problem("P1"), F(1, 8), 1.0)
     assert len(blocks) == 9
-    assert blocks[-1].t == 1.0
+    assert blocks[-1].n == 8
     assert [b.n for b in blocks] == list(range(9))
     err8 = abs(blocks[-1].values[-1, 0] - 0.5)
     assert err8 < 1e-3
@@ -324,15 +325,22 @@ def test_march_of_one_dt_matches_the_full_run():
     sch, prob = builtin("S3C"), problem("P3")
     full = integrate(sch, prob, F(1, 8), 1.0)
     (last,) = march(sch, prob, [F(1, 8)], 1.0, [full[0].values])
-    assert (last.n, last.t) == (8, 1.0)
+    assert last.n == 8
     assert np.array_equal(full[-1].values, last.values)
     assert abs(full[-1].values[-1, 0] - math.exp(-1.0)) < 1e-3
 
 
 def _per_dt_finals(scheme, prob, dts, T, starts):
-    # The per-dt loop the lockstep march replaced, kept as its oracle: one
-    # integrate call per dt, each keeping its last block.
-    return [integrate(scheme, prob, dt, T, start=start)[-1] for dt, start in zip(dts, starts)]
+    # The per-dt loop the lockstep march replaced, kept as its oracle: each
+    # dt steps alone from its given rows to T, one block at a time.
+    finals = []
+    for dt, start in zip(dts, starts):
+        dt = float(dt)
+        state = BlockState(0, np.array(start, dtype=float))
+        for _ in range(round(T / dt)):
+            state = step(scheme, prob, state, dt)
+        finals.append(state)
+    return finals
 
 
 LADDERS = [(STANDARD_DTS, T) for T in (1.0, 2.0, 4.0)] + [
@@ -354,18 +362,24 @@ def test_march_equals_the_per_dt_loop(name):
             starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
             finals = march(sch, prob, dts, T, starts)
             for got, want in zip(finals, _per_dt_finals(sch, prob, dts, T, starts)):
-                assert (got.n, got.t) == (want.n, want.t), (sch_name, T)
+                assert got.n == want.n, (sch_name, T)
                 assert np.array_equal(got.values, want.values), (sch_name, T, want.n)
 
 
 def test_march_rejects_non_finite_start_rows():
-    sch, prob = builtin("S2"), problem("P1")
-    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS[:3]]
-    starts[1] = np.array([[np.nan], [1.0]])
-    with pytest.raises(ValueError, match=r"^non-finite state at step 0$"):
-        march(sch, prob, STANDARD_DTS[:3], 1.0, starts)
-    with pytest.raises(ValueError, match=r"start rows have shape \(2, 2, 1\), need \(3, 2, 1\)"):
-        march(sch, prob, STANDARD_DTS[:3], 1.0, starts[:2])
+    sch, dts = builtin("S2"), STANDARD_DTS[:3]
+    for prob in (problem("P1"), problem("P2")):
+        starts = np.array([bootstrap(sch, prob, dt, n_sub=1).values for dt in dts])
+        for bad in (np.nan, np.inf):
+            given = starts.copy()
+            given[1, 0, 0] = bad
+            with pytest.raises(ValueError, match=r"^non-finite state at step 0$"):
+                march(sch, prob, dts, 1.0, given)
+        need = (3, 2, prob.dim)
+        for given in (starts[:2], np.zeros((3, 3, prob.dim)), np.zeros(2 * prob.dim)):
+            message = re.escape(f"start rows have shape {given.shape}, need {need}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                march(sch, prob, dts, 1.0, given)
 
 
 def test_march_fails_at_the_step_of_the_lane_that_blows_up():
@@ -381,7 +395,7 @@ def test_march_fails_at_the_step_of_the_lane_that_blows_up():
         alone = []
         for dt, start in zip(dts, starts):
             with pytest.raises(ValueError) as exc:
-                integrate(sch, pole, dt, 4.0, start=start)
+                _per_dt_finals(sch, pole, [dt], 4.0, [start])
             alone.append(str(exc.value))
         assert alone == [f"non-finite state at step {k}" for k in (13, 12, 14)]
         with pytest.raises(ValueError, match=r"^non-finite state at step 12$"):
@@ -418,10 +432,21 @@ def test_integrate_accepts_float_step_that_lands_on_target():
 
 
 def test_block_time_does_not_drift_over_many_steps():
-    # summing dt = 0.1 ten thousand times would end at 1000.0000000001588
+    # Summing dt = 0.1 ten thousand times would end at 1000.0000000001588; a
+    # block stores only its step count, and its time n * dt is exact here.
     final = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0)[-1]
     assert final.n == 10_000
-    assert final.t == 1000.0
+    assert final.n * 0.1 == 1000.0
+
+
+def test_grid_decides_reachability_on_the_exact_values():
+    # T = m dt in rationals is reachable even where the doubles of dt and T
+    # disagree: float(5/3) / float(1/3) is not 5 to within half an ulp.
+    for p in range(1, 4):
+        for q in range(1, 13):
+            dt = F(p, q)
+            for m in range(1, 25):
+                assert _grid(dt, m * dt) == (m, float(dt)), (dt, m)
 
 
 def test_integrate_rejects_misaligned_step():
@@ -518,26 +543,6 @@ def test_rk4_reference_rejects_times_outside_the_span():
     for t in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError, match="outside"):
             rk4_reference(prob, 1.0, 2048, times=[0.5, t])
-
-
-def test_integrate_takes_given_start_rows():
-    sch, prob = builtin("S3A"), problem("P1")
-    rows = bootstrap(sch, prob, 0.125).values
-    given = integrate(sch, prob, 0.125, 1.0, start=rows)
-    booted = integrate(sch, prob, 0.125, 1.0)
-    for a, b in zip(given, booted):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_integrate_rejects_bad_start_rows():
-    sch, prob = builtin("S2"), problem("P2")
-    with pytest.raises(ValueError, match=r"start rows have shape \(3, 2\), need \(2, 2\)"):
-        integrate(sch, prob, 0.125, 1.0, start=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="start rows have shape"):
-        integrate(sch, prob, 0.125, 1.0, start=np.zeros(4))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite state at step 0"):
-            integrate(sch, prob, 0.125, 1.0, start=[[bad, 0.0], [2.0, 0.0]])
 
 
 def _measure_lte_rows(scheme, prob, dt, T):

@@ -170,6 +170,18 @@ def test_load_checks_declared_size(tmp_path):
         load(path)
 
 
+def test_load_rejects_a_boolean_size(tmp_path):
+    # bool is an int subclass: "s": true would pass as 1 for a one-row scheme.
+    path = tmp_path / "euler.json"
+    save(make_scheme("euler", [0], [1], [[1]], [[1]]), path)
+    doc = json.loads(path.read_text())
+    for flag in (True, False):
+        doc["s"] = flag
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^s: expected an integer$"):
+            load(path)
+
+
 def test_scheme_is_immutable():
     sch = builtin("S2")
     with pytest.raises(AttributeError):
