@@ -382,6 +382,18 @@ def test_march_rejects_non_finite_start_rows():
                 march(sch, prob, dts, 1.0, given)
 
 
+def test_integrate_rejects_bad_start_rows():
+    # Given starting rows enter a run only through march; one dt is one lane.
+    sch, prob = builtin("S2"), problem("P2")
+    with pytest.raises(ValueError, match=r"start rows have shape \(1, 3, 2\), need \(1, 2, 2\)"):
+        march(sch, prob, [0.125], 1.0, [np.zeros((3, 2))])
+    with pytest.raises(ValueError, match="start rows have shape"):
+        march(sch, prob, [0.125], 1.0, [np.zeros(4)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite state at step 0"):
+            march(sch, prob, [0.125], 1.0, [[[bad, 0.0], [2.0, 0.0]]])
+
+
 def test_march_fails_at_the_step_of_the_lane_that_blows_up():
     # u' = -u^2, u(0) = -1 has a pole at t = 1.  Run alone to T = 4, S2
     # overflows at step 12 with dt = 1/3, 13 with dt = 1/4 and 14 with
