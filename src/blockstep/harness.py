@@ -10,9 +10,10 @@ slope, a plain scheme shows equal slopes.
 Each study makes one oracle call for every time it needs: the reference
 values at n dt + c_j dt, the row times of the final block, and the starting
 rows at c_j dt, for every dt of the ladder.  The oracle is the closed form
-when there is one, otherwise one doubling-verified RK4 sweep.  The final
-blocks of all dts come from one lockstep march (integrate.march, bound here
-as run_integration): one block step per time level for the whole ladder, so
+when there is one, otherwise one rk4_reference call, which doubles its own
+step count until two successive RK4 marches agree.  The final blocks of all
+dts come from one lockstep march (integrate.march, bound here as
+run_integration): one block step per time level for the whole ladder, so
 max N levels instead of sum N steps.  Nothing is kept between studies.  The
 ladder is checked before any of that work starts, its step counts decided by
 integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach T = 3/10).
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import NonFiniteReference, Problem, _check_marches, _grid, measure_lte
+from .integrate import Problem, _check_marches, _grid, measure_lte
 from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
 
@@ -41,8 +42,7 @@ STANDARD_DTS = (
     0.0078125,
 )  # 1/8 .. 1/128: integer step counts at T = 1, errors well above rounding
 
-_REF_START = 2048
-_REF_LIMIT = 2**22
+_REF_START = 2048  # rk4_reference doubles from here
 
 
 @dataclass
@@ -85,22 +85,15 @@ def fit_slope(points) -> float:
 def _oracle(prob, times):
     """(values, provenance) at each time, one row per time.
 
-    A closed form is evaluated once on all times.  Otherwise one RK4 sweep up
-    to the largest time serves them all, in any order and with repeats; its
-    n_steps doubles from _REF_START until the doubling check passes at every
-    time.
+    A closed form is evaluated once on all times.  Otherwise one RK4
+    reference up to the largest time serves them all, in any order and with
+    repeats; rk4_reference doubles its n_steps from _REF_START until the
+    doubling check passes at every time.
     """
     if prob.exact is not None:
         return np.asarray(prob.exact(np.array(times)), dtype=float).T, "exact"
-    n = _REF_START
-    while True:
-        try:
-            values = rk4_reference(prob, max(times), n, times=times)
-            return values, f"rk4 (doubling-verified, n_steps up to {n})"
-        except ValueError as exc:
-            n *= 2
-            if n > _REF_LIMIT or isinstance(exc, NonFiniteReference):
-                raise
+    values, n = rk4_reference(prob, max(times), _REF_START, times=times)
+    return values, f"rk4 (doubling-verified, n_steps up to {n})"
 
 
 def _slopes(dts, rows):

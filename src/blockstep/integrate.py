@@ -25,9 +25,10 @@ truncation error of the exact solution under a scheme, over all steps at once.
 All classical RK4 work goes through one march, _rk4_sweep.  It serves any
 set of times in [0, T]: each time off its grid gets one partial RK4 step
 from the grid value just before it.  bootstrap reads every starting row off
-one such march when there is no exact solution, and rk4_reference checks two
-of them against each other, so a convergence study takes its reference values
-and its starting rows (passed to march as `starts`) from one verified sweep.
+one such march when there is no exact solution.  rk4_reference doubles the
+step count until two successive marches agree, each doubling adding one
+march, so a convergence study takes its reference values and its starting
+rows (passed to march as `starts`) from one verified sweep.
 """
 
 from __future__ import annotations
@@ -205,19 +206,21 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
 def _grid(dt, T) -> tuple[int, float]:
     """(number of steps from 0 to T, dt as a double); every run's grid is decided here.
 
-    Accepts dt when T/dt, on dt and T as given, is an integer in rational
-    arithmetic, or within half an ulp in floating point (dt = 0.1 to T = 1.0);
-    the caller adjusts dt otherwise.
+    Accepts dt > 0 and T >= 0 when T/dt, on dt and T as given, is an integer
+    in rational arithmetic, or within half an ulp in floating point (dt = 0.1
+    to T = 1.0); the caller adjusts dt otherwise.
     """
     dtf, Tf = to_double(dt, "dt"), to_double(T, "T")
     if dtf <= 0:
         raise ValueError("non-positive step")
+    if Tf < 0:
+        raise ValueError("T must be >= t0 = 0")
     ratio = Fraction(T) / Fraction(dt)
-    if ratio.denominator == 1 and ratio >= 0:
+    if ratio.denominator == 1:
         return int(ratio), dtf
     x = Tf / dtf
     n = round(x)
-    if n >= 0 and abs(x - n) <= 0.5 * math.ulp(max(1.0, abs(x))):
+    if abs(x - n) <= 0.5 * math.ulp(max(1.0, x)):
         return n, dtf
     raise ValueError("T not reachable with this dt")
 
@@ -312,18 +315,18 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     return out
 
 
-class NonFiniteReference(ValueError):
-    """An RK4 reference march produced a non-finite value."""
+_REF_LIMIT = 2**22  # the largest coarse step count rk4_reference tries
 
 
-def rk4_reference(prob: Problem, T: float, n_steps: int, times) -> np.ndarray:
-    """Classical RK4 solution at each time in times, one row per time,
-    verified by step doubling.
+def rk4_reference(prob: Problem, T: float, n_steps: int, times) -> tuple[np.ndarray, int]:
+    """(values, n): the classical RK4 solution at each time in times, one row
+    per time, verified by step doubling with n and 2n steps over [0, T].
 
-    Marches n_steps and 2*n_steps over [0, T]; each requested time lies in
-    [0, T] and is served from the same march (see _rk4_sweep).  If the two
-    marches disagree by 1e-12 or more at any time the reference is rejected
-    so the caller can raise n_steps; NonFiniteReference if either is not finite.
+    Each requested time lies in [0, T] and is served from the same march (see
+    _rk4_sweep).  From n = n_steps, while the two marches differ by 1e-12 or
+    more at some time, n doubles and the finer march becomes the next coarse
+    one; values is the finer march of the passing pair.  Raises as soon as a
+    march is not finite, and once n passes _REF_LIMIT.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -332,13 +335,16 @@ def rk4_reference(prob: Problem, T: float, n_steps: int, times) -> np.ndarray:
     for t in ts:
         if not 0.0 <= t <= T:
             raise ValueError(f"reference time {t!r} outside [t0, T] = [0.0, {T!r}]")
-    coarse = _rk4_sweep(prob, T, n_steps, ts)
-    fine = _rk4_sweep(prob, T, 2 * n_steps, ts)
-    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
-        raise NonFiniteReference("non-finite RK4 reference")
-    if float(np.max(np.abs(coarse - fine), initial=0.0)) >= 1e-12:
-        raise ValueError("reference not converged")
-    return fine
+    n, fine = n_steps, _rk4_sweep(prob, T, n_steps, ts)
+    while np.isfinite(fine).all():
+        if n > _REF_LIMIT:
+            raise ValueError("reference not converged")
+        coarse, fine = fine, _rk4_sweep(prob, T, 2 * n, ts)
+        # A NaN or inf in the finer march fails this test, and then the loop's.
+        if float(np.max(np.abs(coarse - fine), initial=0.0)) < 1e-12:
+            return fine, n
+        n *= 2
+    raise ValueError("non-finite RK4 reference")
 
 
 def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:

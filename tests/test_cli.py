@@ -205,6 +205,20 @@ def test_integrate_misaligned_step(capsys):
     assert "error: T not reachable with this dt" in err
 
 
+def test_integrate_names_a_negative_horizon(capsys):
+    code, out, err = run(
+        capsys, "integrate", "--scheme", "S2", "--problem", "P1",
+        "--dt", "1/8", "--T=-1",
+    )
+    assert (code, out, err) == (1, "", "error: T must be >= t0 = 0\n")
+    code, out, err = run(
+        capsys, "integrate", "--scheme", "S2", "--problem", "P1",
+        "--dt", "1/8", "--T", "0",
+    )
+    assert (code, err) == (0, "")
+    assert "after 0 steps" in out
+
+
 REACHABLE_IN_RATIONALS = {
     ("integrate", "--dt", "1/3", "--T", "5/3"): "after 5 steps of dt=0.33333333333333331",
     ("integrate", "--dt", "0.1", "--T", "0.3"): "after 3 steps of dt=0.10000000000000001",

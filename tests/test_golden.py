@@ -2,7 +2,8 @@
 
 `converge` is pinned on both oracle branches.  P1 has a closed form, so its
 references and starting rows come from one `exact` call; P2 (van der Pol)
-has none, so they come from one doubling-verified RK4 sweep.  Any change to
+has none, so they come from one doubling-verified RK4 reference, pinned both
+where it passes at its first pair and where it escalates.  Any change to
 the printed table, slopes or reference line on either branch fails here.
 Every other subcommand is pinned on one or two representative calls;
 `integrate` on P2 covers the RK4 bootstrap.  The three CSV outputs
@@ -144,6 +145,15 @@ S2 on P3, T=0.3, reference: exact
        0.025   2.4164e-06   3.0087e-07   1.7216e-04   2.4640e-05
 global slopes: [2.992, 2.515]  max-norm: 2.992
 lte slopes:    [1.969, 1.972]  max-norm: 1.969
+""",
+    # At T = 8 the P2 reference escalates: the doubling check passes at 8192.
+    ("converge", "--scheme", "S2", "--problem", "P2", "--T", "8", "--dts", "1/8,1/16,1/32"): """\
+S2 on P2, T=8, reference: rk4 (doubling-verified, n_steps up to 8192)
+          dt       err[0]       err[1]
+       0.125   3.8694e-03   4.5929e-03
+      0.0625   4.7115e-04   5.7006e-04
+     0.03125   5.8268e-05   7.1201e-05
+global slopes: [3.027, 3.006]  max-norm: 3.006
 """,
     ("stability", "--scheme", "S2", "--n", "3"): """\
 re,im,rho

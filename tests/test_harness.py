@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import shutil
 import subprocess
 from fractions import Fraction as F
@@ -14,8 +15,8 @@ from blockstep.harness import (
     emit_plot_script,
     fit_slope,
 )
-from blockstep import harness
-from blockstep.integrate import NonFiniteReference, make_problem, march, problem
+from blockstep import harness, integrate
+from blockstep.integrate import make_problem, march, problem
 from blockstep.scheme import BUILTIN_NAMES, builtin, make_scheme
 
 
@@ -217,21 +218,57 @@ def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
     assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and c dt, c in c_in
 
 
+def _counted(monkeypatch, module, name):
+    # The step count (third argument) of every call to module.name, in order.
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
     # The pole of u' = -u^2, u(0) = -1 at t = 1 lies before T = 2: doubling
     # the steps cannot help, so the first sweep's error ends the study.
-    sweeps, sweep = [], harness.rk4_reference
-
-    def counted(*args, **kwargs):
-        sweeps.append(args[2])
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "rk4_reference", counted)
+    references = _counted(monkeypatch, harness, "rk4_reference")
+    sweeps = _counted(monkeypatch, integrate, "_rk4_sweep")
     prob = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteReference):
+        with pytest.raises(ValueError, match="non-finite RK4 reference"):
             converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125), T=2.0)
+    assert references == [2048]
     assert sweeps == [2048]
+
+
+def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
+    # An error raised by rhs is not a failed doubling check: it ends the
+    # study in the first sweep, at its first step, instead of doubling n.
+    def rhs(t, u):
+        if np.max(t) > 0:
+            math.sqrt(-1.0)
+        return -u
+
+    references = _counted(monkeypatch, harness, "rk4_reference")
+    sweeps = _counted(monkeypatch, integrate, "_rk4_sweep")
+    prob = make_problem("domain", rhs, None, [1.0])
+    with pytest.raises(ValueError, match="math domain error"):
+        converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125))
+    assert references == [2048]
+    assert sweeps == [2048]
+
+
+def test_escalated_reference_makes_one_march_per_doubling(monkeypatch):
+    # At T = 8 the P2 reference passes only at n = 8192: the pairs 2048,
+    # 4096 and 8192 share their marches, four sweeps in all.
+    references = _counted(monkeypatch, harness, "rk4_reference")
+    sweeps = _counted(monkeypatch, integrate, "_rk4_sweep")
+    report = converge(builtin("S2"), problem("P2"), dts=(0.125, 0.0625, 0.03125), T=8.0)
+    assert report.reference == "rk4 (doubling-verified, n_steps up to 8192)"
+    assert references == [2048]
+    assert sweeps == [2048, 4096, 8192, 16384]
 
 
 def test_converge_slope_is_stable_under_refinement():

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from blockstep import integrate as integrate_module
 from blockstep.harness import STANDARD_DTS
 from blockstep.integrate import (
     PROBLEM_NAMES,
     BlockState,
-    NonFiniteReference,
     _grid,
     bootstrap,
     integrate,
@@ -461,6 +461,23 @@ def test_grid_decides_reachability_on_the_exact_values():
                 assert _grid(dt, m * dt) == (m, float(dt)), (dt, m)
 
 
+def test_grid_names_a_negative_horizon():
+    # Checked after dt, before reachability: T = -1 is a whole number of
+    # steps of 1/8 backwards, and T = 0 is zero steps.
+    for T in (-1.0, F(-1, 3), -0.3):
+        with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
+            _grid(0.125, T)
+    with pytest.raises(ValueError, match="non-positive step"):
+        _grid(-0.125, -1.0)
+    assert _grid(0.125, 0) == (0, 0.125)
+    assert _grid(0.125, -0.0) == (0, 0.125)
+    with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
+        measure_lte(builtin("S2"), problem("P1"), 0.125, -1.0)
+    with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
+        integrate(builtin("S2"), problem("P1"), 0.125, -1.0)
+    assert [b.n for b in integrate(builtin("S2"), problem("P1"), 0.125, 0)] == [0]
+
+
 def test_integrate_rejects_misaligned_step():
     with pytest.raises(ValueError, match="T not reachable with this dt"):
         integrate(builtin("S2"), problem("P1"), F(3, 10), 1.0)
@@ -488,16 +505,36 @@ def test_linear_problem_equals_matrix_power():
     assert np.max(np.abs(final.values - oracle)) < 1e-13
 
 
+def _count_sweeps(monkeypatch):
+    # The step count of every RK4 march rk4_reference makes, in order.
+    sweeps, sweep = [], integrate_module._rk4_sweep
+
+    def counted(prob, T, n, times):
+        sweeps.append(n)
+        return sweep(prob, T, n, times)
+
+    monkeypatch.setattr(integrate_module, "_rk4_sweep", counted)
+    return sweeps
+
+
 def test_rk4_reference_values():
-    ref = rk4_reference(problem("P3"), 1.0, 2000, [1.0])
+    ref, n = rk4_reference(problem("P3"), 1.0, 2000, [1.0])
+    assert n == 2000
     assert abs(ref[0, 0] - math.exp(-1.0)) < 1e-12
-    ref = rk4_reference(problem("P1"), 1.0, 2000, [1.0])
+    ref, n = rk4_reference(problem("P1"), 1.0, 2000, [1.0])
+    assert n == 2000
     assert abs(ref[0, 0] - 0.5) < 1e-12
 
 
-def test_rk4_reference_rejects_unconverged_runs():
+def test_rk4_reference_rejects_unconverged_runs(monkeypatch):
+    # With the limit at 4, P1 from one step tries the pairs (1, 2), (2, 4)
+    # and (4, 8); none agrees within 1e-12, and the last pair tried is
+    # (limit, 2 limit).
+    monkeypatch.setattr(integrate_module, "_REF_LIMIT", 4)
+    sweeps = _count_sweeps(monkeypatch)
     with pytest.raises(ValueError, match="reference not converged"):
         rk4_reference(problem("P1"), 1.0, 1, [1.0])
+    assert sweeps == [1, 2, 4, 8]
     with pytest.raises(ValueError, match="n_steps"):
         rk4_reference(problem("P1"), 1.0, 0, [1.0])
 
@@ -508,11 +545,13 @@ def test_rk4_reference_serves_requested_times_like_separate_runs():
     times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
     for name in ("P1", "P2"):
         prob = problem(name)
-        rows = rk4_reference(prob, 1.0, 2048, times=times)
+        rows, n = rk4_reference(prob, 1.0, 2048, times=times)
+        assert n == 2048
         assert rows.shape == (len(times), prob.dim)
         for t, row in zip(times[:4], rows):
-            alone = rk4_reference(prob, t, 2048, [t])[0]
-            assert np.max(np.abs(row - alone)) < 1e-12, (name, t)
+            alone, n = rk4_reference(prob, t, 2048, [t])
+            assert n == 2048
+            assert np.max(np.abs(row - alone[0])) < 1e-12, (name, t)
         assert np.array_equal(rows[0], rows[4])
         assert np.array_equal(rows[2], prob.u0)
 
@@ -522,32 +561,52 @@ def test_rk4_reference_grid_times_get_the_grid_value():
     # same march as a reference to 0.5 with half the steps, bit for bit,
     # and partial steps served on the way do not advance the march.
     prob = problem("P2")
-    alone = rk4_reference(prob, 0.5, 512, [0.5])[0]
-    rows = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7, 1.0])
-    assert np.array_equal(rows[1], alone)
-    assert np.array_equal(rows[3], rk4_reference(prob, 1.0, 1024, [1.0])[0])
+    alone, n = rk4_reference(prob, 0.5, 512, [0.5])
+    assert n == 512
+    rows, n = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7, 1.0])
+    assert n == 1024
+    assert np.array_equal(rows[1], alone[0])
+    end, n = rk4_reference(prob, 1.0, 1024, [1.0])
+    assert n == 1024
+    assert np.array_equal(rows[3], end[0])
 
 
-def test_rk4_reference_checks_every_requested_time():
+def test_rk4_reference_checks_every_requested_time(monkeypatch):
     # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
     # midpoint, so the errors cancel at T = 1 but not at t = 1/2.
     prob = make_problem("quintic", lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
-    assert abs(rk4_reference(prob, 1.0, 4, [1.0])[0, 0]) < 1e-15
-    with pytest.raises(ValueError, match="reference not converged"):
-        rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
+    values, n = rk4_reference(prob, 1.0, 4, [1.0])
+    assert n == 4 and abs(values[0, 0]) < 1e-15
+    # Requesting 1/2 forces escalation, and each escalation costs one march:
+    # the finer march of a failed pair is the coarse march of the next, so
+    # k doublings make the k + 2 sweeps 4, 8, ..., n, 2n.
+    sweeps = _count_sweeps(monkeypatch)
+    values, n = rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
+    assert n > 4
+    assert sweeps == [4 << i for i in range(len(sweeps))]
+    assert sweeps[-2:] == [n, 2 * n]
+    assert abs(values[1, 0] + 1 / 384) < 1e-12  # u(1/2) = -(1/2)^6 / 6
 
 
-def test_rk4_reference_rejects_a_non_finite_march():
+def test_rk4_reference_rejects_a_non_finite_march(monkeypatch):
     # u' = -u^2, u(0) = -1 has a pole at t = 1: the march overflows, and the
-    # doubling test alone would pass it (NaN >= 1e-12 is False).
+    # doubling test alone would double n on it up to the limit (NaN < 1e-12
+    # is False).
     prob = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
+    sweeps = _count_sweeps(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteReference, match="non-finite RK4 reference"):
+        with pytest.raises(ValueError, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, 8, [2.0])
-        with pytest.raises(NonFiniteReference):
+        with pytest.raises(ValueError, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, 2048, times=[0.5, 1.5])
-    assert issubclass(NonFiniteReference, ValueError)
+        assert sweeps == [8, 2048]
+        # From one step the marches stay finite up to 4 steps; the first
+        # non-finite one, the finer march of a pair, ends the escalation.
+        sweeps.clear()
+        with pytest.raises(ValueError, match="non-finite RK4 reference"):
+            rk4_reference(prob, 2.0, 1, [2.0])
+        assert sweeps == [1, 2, 4, 8]
 
 
 def test_rk4_reference_rejects_times_outside_the_span():
