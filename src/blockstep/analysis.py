@@ -165,15 +165,10 @@ def verify_conditions(scheme: Scheme) -> VerificationReport:
 # ----- linear stability diagnostics ---------------------------------------
 
 
-def amplification(scheme: Scheme, z: complex) -> np.ndarray:
-    """Q(z) = A + z B in double precision (z = lambda * dt)."""
-    A, B, _, _ = scheme.float_tables
-    return A + complex(z) * B
-
-
 def spectral_radius(scheme: Scheme, z: complex) -> float:
-    """rho(A + z B): the largest modulus among the eigenvalues of Q(z)."""
-    return float(np.abs(np.linalg.eigvals(amplification(scheme, z))).max())
+    """rho(Q(z)), Q(z) = A + z B in double precision (z = lambda * dt)."""
+    A, B, _, _ = scheme.float_tables
+    return float(np.abs(np.linalg.eigvals(A + complex(z) * B)).max())
 
 
 def stability_scan(scheme, re_range, im_range, grid_n):

@@ -343,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("converge", help="convergence study over a dt ladder")
     q.add_argument("--scheme", required=True)
     q.add_argument("--problem", required=True)
-    q.add_argument("--dts", type=_rat_list,
-                   default=[Fraction(1, 8), Fraction(1, 16), Fraction(1, 32),
-                            Fraction(1, 64), Fraction(1, 128)],
+    q.add_argument("--dts", type=_rat_list, default=harness.STANDARD_DTS,
                    help="comma-separated step sizes (default 1/8,...,1/128)")
     q.add_argument("--T", type=_rat, default=Fraction(1))
     q.add_argument("--csv", help="write the error table here")

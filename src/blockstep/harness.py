@@ -42,8 +42,6 @@ STANDARD_DTS = (
     0.0078125,
 )  # 1/8 .. 1/128: integer step counts at T = 1, errors well above rounding
 
-_REF_START = 2048  # rk4_reference doubles from here
-
 
 @dataclass
 class ConvergenceReport:
@@ -87,12 +85,12 @@ def _oracle(prob, times):
 
     A closed form is evaluated once on all times.  Otherwise one RK4
     reference up to the largest time serves them all, in any order and with
-    repeats; rk4_reference doubles its n_steps from _REF_START until the
-    doubling check passes at every time.
+    repeats; rk4_reference doubles its step count until the doubling check
+    passes at every time.
     """
     if prob.exact is not None:
         return np.asarray(prob.exact(np.array(times)), dtype=float).T, "exact"
-    values, n = rk4_reference(prob, max(times), _REF_START, times=times)
+    values, n = rk4_reference(prob, max(times), times=times)
     return values, f"rk4 (doubling-verified, n_steps up to {n})"
 
 
@@ -187,6 +185,14 @@ def emit_csv(report: ConvergenceReport, path) -> None:
     write_csv(path, cols, _rows(report))
 
 
+def _gp_str(text: str) -> str:
+    # A single-quoted gnuplot string; gnuplot reads '' inside it as one '.
+    # A newline would end the string and start a command of its own.
+    if not text.isprintable():
+        raise ValueError(f"cannot write {text!r} into a gnuplot string")
+    return "'" + text.replace("'", "''") + "'"
+
+
 def emit_plot_script(report: ConvergenceReport, path) -> None:
     """Write a standalone gnuplot script (data inlined) for the log-log plot.
 
@@ -206,13 +212,13 @@ def emit_plot_script(report: ConvergenceReport, path) -> None:
         f"# convergence of {report.scheme_name} on {report.problem_name}",
         f"# reference: {report.reference}",
         "set terminal pngcairo size 900,700",
-        f"set output '{stem}.png'",
+        f"set output {_gp_str(stem + '.png')}",
         "set logscale xy",
         "set format y '10^{%T}'",
         "set xlabel 'dt'",
         "set ylabel 'error at T'",
         "set key bottom right",
-        f"set title '{report.scheme_name} on {report.problem_name}'",
+        f"set title {_gp_str(f'{report.scheme_name} on {report.problem_name}')}",
         "$DATA << EOD",
     ]
     lines += [" ".join(map(_g, row)) for row in _rows(report)]

@@ -207,8 +207,8 @@ def _grid(dt, T) -> tuple[int, float]:
     """(number of steps from 0 to T, dt as a double); every run's grid is decided here.
 
     Accepts dt > 0 and T >= 0 when T/dt, on dt and T as given, is an integer
-    in rational arithmetic, or within half an ulp in floating point (dt = 0.1
-    to T = 1.0); the caller adjusts dt otherwise.
+    in rational arithmetic, or within half an ulp of a positive integer in
+    floating point (dt = 0.1 to T = 1.0); the caller adjusts dt otherwise.
     """
     dtf, Tf = to_double(dt, "dt"), to_double(T, "T")
     if dtf <= 0:
@@ -220,7 +220,7 @@ def _grid(dt, T) -> tuple[int, float]:
         return int(ratio), dtf
     x = Tf / dtf
     n = round(x)
-    if abs(x - n) <= 0.5 * math.ulp(max(1.0, x)):
+    if n >= 1 and abs(x - n) <= 0.5 * math.ulp(max(1.0, x)):
         return n, dtf
     raise ValueError("T not reachable with this dt")
 
@@ -229,17 +229,6 @@ def _check_marches(scheme: Scheme) -> None:
     """Marching needs c_out = c_in + 1: each step moves the whole block by dt."""
     if any(o - i != 1 for i, o in zip(scheme.c_in, scheme.c_out)):
         raise ValueError("scheme does not march: c_out must equal c_in + 1")
-
-
-def _start_rows(scheme: Scheme, prob: Problem, start, lanes) -> np.ndarray:
-    # Given starting rows as a float array of shape lanes + (s, dim), all finite.
-    values = np.array(start, dtype=float)
-    need = tuple(lanes) + (scheme.s, prob.dim)
-    if values.shape != need:
-        raise ValueError(f"start rows have shape {values.shape}, need {need}")
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite state at step 0")
-    return values
 
 
 def integrate(scheme: Scheme, prob: Problem, dt, T) -> list[BlockState]:
@@ -272,8 +261,14 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockSta
     """
     _check_marches(scheme)
     grids = [_grid(dt, T) for dt in dts]
+    V = np.array(starts, dtype=float)
+    need = (len(grids), scheme.s, prob.dim)
+    if V.shape != need:
+        raise ValueError(f"start rows have shape {V.shape}, need {need}")
+    if not np.isfinite(V).all():
+        raise ValueError("non-finite state at step 0")
     order = sorted(range(len(grids)), key=lambda i: -grids[i][0])
-    V = _start_rows(scheme, prob, starts, (len(grids),))[order]
+    V = V[order]
     lane_dt = np.array([grids[i][1] for i in order])
     # Row r = l * s + j of the stack sits at k * dt_l + c_in[j] * dt_l.
     row_dt = np.repeat(lane_dt, scheme.s)
@@ -315,27 +310,26 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     return out
 
 
+_REF_START = 2048  # the first coarse step count rk4_reference tries
 _REF_LIMIT = 2**22  # the largest coarse step count rk4_reference tries
 
 
-def rk4_reference(prob: Problem, T: float, n_steps: int, times) -> tuple[np.ndarray, int]:
+def rk4_reference(prob: Problem, T: float, times) -> tuple[np.ndarray, int]:
     """(values, n): the classical RK4 solution at each time in times, one row
     per time, verified by step doubling with n and 2n steps over [0, T].
 
     Each requested time lies in [0, T] and is served from the same march (see
-    _rk4_sweep).  From n = n_steps, while the two marches differ by 1e-12 or
-    more at some time, n doubles and the finer march becomes the next coarse
-    one; values is the finer march of the passing pair.  Raises as soon as a
-    march is not finite, and once n passes _REF_LIMIT.
+    _rk4_sweep).  From n = _REF_START, while the two marches differ by 1e-12
+    or more at some time, n doubles and the finer march becomes the next
+    coarse one; values is the finer march of the passing pair.  Raises as
+    soon as a march is not finite, and once n passes _REF_LIMIT.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     T = float(T)
     ts = [float(t) for t in times]
     for t in ts:
         if not 0.0 <= t <= T:
             raise ValueError(f"reference time {t!r} outside [t0, T] = [0.0, {T!r}]")
-    n, fine = n_steps, _rk4_sweep(prob, T, n_steps, ts)
+    n, fine = _REF_START, _rk4_sweep(prob, T, _REF_START, ts)
     while np.isfinite(fine).all():
         if n > _REF_LIMIT:
             raise ValueError("reference not converged")

@@ -182,6 +182,8 @@ def load(path) -> Scheme:
     missing = _FIELDS - set(doc)
     if missing:
         raise ValueError(f"missing field: {', '.join(sorted(missing))}")
+    if not isinstance(doc["name"], str) or not doc["name"].isprintable():
+        raise ValueError("name: expected a printable string")
     if not isinstance(doc["s"], int) or isinstance(doc["s"], bool):
         raise ValueError("s: expected an integer")
     for key in ("c_in", "c_out"):

@@ -219,6 +219,29 @@ def test_integrate_names_a_negative_horizon(capsys):
     assert "after 0 steps" in out
 
 
+def test_integrate_rejects_a_horizon_below_one_step(capsys):
+    # T/dt = 1e-17 is within half an ulp of 0, but a positive T is not zero steps.
+    code, out, err = run(
+        capsys, "integrate", "--scheme", "S2", "--problem", "P1",
+        "--dt", "1", "--T", "1e-17",
+    )
+    assert (code, out, err) == (1, "", "error: T not reachable with this dt\n")
+
+
+def test_converge_refuses_a_scheme_name_that_would_write_plot_lines(tmp_path, capsys):
+    path, plot = tmp_path / "evil.json", tmp_path / "evil.gp"
+    save(builtin("S2"), path)
+    doc = json.loads(path.read_text())
+    doc["name"] = "S2'\nprint 'injected line'\n#"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "converge", "--scheme", str(path), "--problem", "P1",
+        "--dts", "1/8,1/16,1/32", "--plot", str(plot),
+    )
+    assert (code, out, err) == (1, "", "error: name: expected a printable string\n")
+    assert not plot.exists()
+
+
 REACHABLE_IN_RATIONALS = {
     ("integrate", "--dt", "1/3", "--T", "5/3"): "after 5 steps of dt=0.33333333333333331",
     ("integrate", "--dt", "0.1", "--T", "0.3"): "after 3 steps of dt=0.10000000000000001",
@@ -424,6 +447,13 @@ def test_usage_errors_exit_two(capsys):
         (["truncation", "S2", "--pmax", "0"], "argument --pmax: must be >= 1, got 0"),
         (["truncation", "S2", "--pmax", "two"], "argument --pmax: not an integer: 'two'"),
         (["stability", "--scheme", "S2", "--n", "1"], "argument --n: must be >= 2, got 1"),
+        (["search", "--range=1"], "argument --range: expected lo:hi, got '1'"),
+        (["search", "--fix", "1"], "argument --fix: expected index=value, got '1'"),
+        (["search", "--fix", "x=1/2"], "argument --fix: bad component index 'x'"),
+        (["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "abc", "--T", "1"],
+         "argument --dt: not a rational: 'abc'"),
+        (["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/0", "--T", "1"],
+         "argument --dt: not a rational: '1/0'"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -155,6 +155,18 @@ S2 on P2, T=8, reference: rk4 (doubling-verified, n_steps up to 8192)
      0.03125   5.8268e-05   7.1201e-05
 global slopes: [3.027, 3.006]  max-norm: 3.006
 """,
+    # No --dts: the default ladder, 1/8 ... 1/128.
+    ("converge", "--scheme", "S3B", "--problem", "P4"): """\
+S3B on P4, T=1, reference: exact
+          dt       err[0]       err[1]       err[2]       lte[0]       lte[1]       lte[2]
+       0.125   4.2963e-05   2.9354e-05   1.9507e-05   1.2989e-03   3.7719e-04   6.2383e-05
+      0.0625   7.8852e-08   3.2351e-07   3.7415e-07   1.6300e-04   4.7370e-05   7.8516e-06
+     0.03125   7.0487e-08   1.7153e-08   6.1832e-10   2.0372e-05   5.9196e-06   9.8147e-07
+    0.015625   6.1466e-09   2.0882e-09   7.3972e-10   2.5486e-06   7.4046e-07   1.2274e-07
+   0.0078125   4.3399e-10   1.5996e-10   6.7309e-11   3.1863e-07   9.2569e-08   1.5343e-08
+global slopes: [3.687, 4.225, 4.527]  max-norm: 3.912
+lte slopes:    [2.999, 2.998, 2.998]  max-norm: 2.999
+""",
     ("stability", "--scheme", "S2", "--n", "3"): """\
 re,im,rho
 -3,-3,7.7642500455072776

@@ -168,6 +168,7 @@ def _counting(prob):
         ((F(1, 10**401), F(1, 10**402), F(1, 10**403)), 1.0, "dt rounds to 0.0"),
         ((0.125, 0.0625, 0.03125), F(1, 10**400), "T rounds to 0.0"),
         ((0.125, 0.0625, 0.03125), F(10**400), "T is too large"),
+        ((1.0, 0.5, 0.25), 1e-17, "T not reachable with this dt"),
     ],
 )
 def test_converge_checks_the_ladder_before_any_work(dts, T, message):
@@ -219,11 +220,11 @@ def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
 
 
 def _counted(monkeypatch, module, name):
-    # The step count (third argument) of every call to module.name, in order.
+    # The positional arguments of every call to module.name, in order.
     calls, fn = [], getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -239,8 +240,8 @@ def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
             converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125), T=2.0)
-    assert references == [2048]
-    assert sweeps == [2048]
+    assert len(references) == 1
+    assert [n for _, _, n, _ in sweeps] == [2048]
 
 
 def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
@@ -256,8 +257,8 @@ def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
     prob = make_problem("domain", rhs, None, [1.0])
     with pytest.raises(ValueError, match="math domain error"):
         converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125))
-    assert references == [2048]
-    assert sweeps == [2048]
+    assert len(references) == 1
+    assert [n for _, _, n, _ in sweeps] == [2048]
 
 
 def test_escalated_reference_makes_one_march_per_doubling(monkeypatch):
@@ -267,8 +268,8 @@ def test_escalated_reference_makes_one_march_per_doubling(monkeypatch):
     sweeps = _counted(monkeypatch, integrate, "_rk4_sweep")
     report = converge(builtin("S2"), problem("P2"), dts=(0.125, 0.0625, 0.03125), T=8.0)
     assert report.reference == "rk4 (doubling-verified, n_steps up to 8192)"
-    assert references == [2048]
-    assert sweeps == [2048, 4096, 8192, 16384]
+    assert len(references) == 1
+    assert [n for _, _, n, _ in sweeps] == [2048, 4096, 8192, 16384]
 
 
 def test_converge_slope_is_stable_under_refinement():
@@ -315,6 +316,29 @@ def test_emit_plot_script_structure(tmp_path):
     assert "guide_q1(x)" in text and "x**3" in text
     assert "linespoints" in text
     assert "set output 'conv.png'" in text
+
+
+def test_emit_plot_script_quotes_names(tmp_path):
+    # A ' in a scheme name or in the file stem is doubled inside gnuplot's
+    # single-quoted strings; the script keeps the lines it has for S2.
+    rep = converge(builtin("S2"), problem("P1"), dts=(0.125, 0.0625, 0.03125))
+    emit_plot_script(rep, tmp_path / "conv.gp")
+    plain = (tmp_path / "conv.gp").read_text().split("\n")
+    rep.scheme_name = "O'Brien"
+    emit_plot_script(rep, tmp_path / "it's.gp")
+    quoted = (tmp_path / "it's.gp").read_text().split("\n")
+    changed = [(a, b) for a, b in zip(plain, quoted) if a != b]
+    assert len(quoted) == len(plain)
+    assert changed == [
+        ("# convergence of S2 on P1", "# convergence of O'Brien on P1"),
+        ("set output 'conv.png'", "set output 'it''s.png'"),
+        ("set title 'S2 on P1'", "set title 'O''Brien on P1'"),
+    ]
+    # A newline in the file stem cannot be quoted: nothing is written.
+    path = tmp_path / "a\nprint 42\n#.gp"
+    with pytest.raises(ValueError, match="cannot write .* into a gnuplot string"):
+        emit_plot_script(rep, path)
+    assert not path.exists()
 
 
 def test_emit_plot_script_renders_if_gnuplot_present(tmp_path):

@@ -471,6 +471,11 @@ def test_grid_names_a_negative_horizon():
         _grid(-0.125, -1.0)
     assert _grid(0.125, 0) == (0, 0.125)
     assert _grid(0.125, -0.0) == (0, 0.125)
+    # A positive T below one step is not zero steps: T/dt = 1e-17 rounds to
+    # 0 within half an ulp of 1, and only T = 0 runs no step.
+    for dt, T in ((1, 1e-17), (1.0, 5e-324), (0.125, 1e-18)):
+        with pytest.raises(ValueError, match=r"^T not reachable with this dt$"):
+            _grid(dt, T)
     with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
         measure_lte(builtin("S2"), problem("P1"), 0.125, -1.0)
     with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
@@ -518,11 +523,11 @@ def _count_sweeps(monkeypatch):
 
 
 def test_rk4_reference_values():
-    ref, n = rk4_reference(problem("P3"), 1.0, 2000, [1.0])
-    assert n == 2000
+    ref, n = rk4_reference(problem("P3"), 1.0, [1.0])
+    assert n == 2048
     assert abs(ref[0, 0] - math.exp(-1.0)) < 1e-12
-    ref, n = rk4_reference(problem("P1"), 1.0, 2000, [1.0])
-    assert n == 2000
+    ref, n = rk4_reference(problem("P1"), 1.0, [1.0])
+    assert n == 2048
     assert abs(ref[0, 0] - 0.5) < 1e-12
 
 
@@ -530,13 +535,12 @@ def test_rk4_reference_rejects_unconverged_runs(monkeypatch):
     # With the limit at 4, P1 from one step tries the pairs (1, 2), (2, 4)
     # and (4, 8); none agrees within 1e-12, and the last pair tried is
     # (limit, 2 limit).
+    monkeypatch.setattr(integrate_module, "_REF_START", 1)
     monkeypatch.setattr(integrate_module, "_REF_LIMIT", 4)
     sweeps = _count_sweeps(monkeypatch)
     with pytest.raises(ValueError, match="reference not converged"):
-        rk4_reference(problem("P1"), 1.0, 1, [1.0])
+        rk4_reference(problem("P1"), 1.0, [1.0])
     assert sweeps == [1, 2, 4, 8]
-    with pytest.raises(ValueError, match="n_steps"):
-        rk4_reference(problem("P1"), 1.0, 0, [1.0])
 
 
 def test_rk4_reference_serves_requested_times_like_separate_runs():
@@ -545,28 +549,30 @@ def test_rk4_reference_serves_requested_times_like_separate_runs():
     times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
     for name in ("P1", "P2"):
         prob = problem(name)
-        rows, n = rk4_reference(prob, 1.0, 2048, times=times)
+        rows, n = rk4_reference(prob, 1.0, times=times)
         assert n == 2048
         assert rows.shape == (len(times), prob.dim)
         for t, row in zip(times[:4], rows):
-            alone, n = rk4_reference(prob, t, 2048, [t])
+            alone, n = rk4_reference(prob, t, [t])
             assert n == 2048
             assert np.max(np.abs(row - alone[0])) < 1e-12, (name, t)
         assert np.array_equal(rows[0], rows[4])
         assert np.array_equal(rows[2], prob.u0)
 
 
-def test_rk4_reference_grid_times_get_the_grid_value():
+def test_rk4_reference_grid_times_get_the_grid_value(monkeypatch):
     # 0.5 is grid point 512 of 1024 (coarse) and 1024 of 2048 (fine): the
     # same march as a reference to 0.5 with half the steps, bit for bit,
     # and partial steps served on the way do not advance the march.
     prob = problem("P2")
-    alone, n = rk4_reference(prob, 0.5, 512, [0.5])
+    monkeypatch.setattr(integrate_module, "_REF_START", 512)
+    alone, n = rk4_reference(prob, 0.5, [0.5])
     assert n == 512
-    rows, n = rk4_reference(prob, 1.0, 1024, times=[0.3, 0.5, 0.7, 1.0])
+    monkeypatch.setattr(integrate_module, "_REF_START", 1024)
+    rows, n = rk4_reference(prob, 1.0, times=[0.3, 0.5, 0.7, 1.0])
     assert n == 1024
     assert np.array_equal(rows[1], alone[0])
-    end, n = rk4_reference(prob, 1.0, 1024, [1.0])
+    end, n = rk4_reference(prob, 1.0, [1.0])
     assert n == 1024
     assert np.array_equal(rows[3], end[0])
 
@@ -576,13 +582,14 @@ def test_rk4_reference_checks_every_requested_time(monkeypatch):
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
     # midpoint, so the errors cancel at T = 1 but not at t = 1/2.
     prob = make_problem("quintic", lambda t, u: np.array([(t - 0.5) ** 5]), None, [0.0])
-    values, n = rk4_reference(prob, 1.0, 4, [1.0])
+    monkeypatch.setattr(integrate_module, "_REF_START", 4)
+    values, n = rk4_reference(prob, 1.0, [1.0])
     assert n == 4 and abs(values[0, 0]) < 1e-15
     # Requesting 1/2 forces escalation, and each escalation costs one march:
     # the finer march of a failed pair is the coarse march of the next, so
     # k doublings make the k + 2 sweeps 4, 8, ..., n, 2n.
     sweeps = _count_sweeps(monkeypatch)
-    values, n = rk4_reference(prob, 1.0, 4, times=[1.0, 0.5])
+    values, n = rk4_reference(prob, 1.0, times=[1.0, 0.5])
     assert n > 4
     assert sweeps == [4 << i for i in range(len(sweeps))]
     assert sweeps[-2:] == [n, 2 * n]
@@ -597,15 +604,17 @@ def test_rk4_reference_rejects_a_non_finite_march(monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
-            rk4_reference(prob, 2.0, 8, [2.0])
+            rk4_reference(prob, 2.0, times=[0.5, 1.5])
+        monkeypatch.setattr(integrate_module, "_REF_START", 8)
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
-            rk4_reference(prob, 2.0, 2048, times=[0.5, 1.5])
-        assert sweeps == [8, 2048]
+            rk4_reference(prob, 2.0, [2.0])
+        assert sweeps == [2048, 8]
         # From one step the marches stay finite up to 4 steps; the first
         # non-finite one, the finer march of a pair, ends the escalation.
         sweeps.clear()
+        monkeypatch.setattr(integrate_module, "_REF_START", 1)
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
-            rk4_reference(prob, 2.0, 1, [2.0])
+            rk4_reference(prob, 2.0, [2.0])
         assert sweeps == [1, 2, 4, 8]
 
 
@@ -613,7 +622,7 @@ def test_rk4_reference_rejects_times_outside_the_span():
     prob = problem("P1")
     for t in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError, match="outside"):
-            rk4_reference(prob, 1.0, 2048, times=[0.5, t])
+            rk4_reference(prob, 1.0, times=[0.5, t])
 
 
 def _measure_lte_rows(scheme, prob, dt, T):

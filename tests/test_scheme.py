@@ -182,6 +182,22 @@ def test_load_rejects_a_boolean_size(tmp_path):
             load(path)
 
 
+def test_load_rejects_a_name_that_is_not_a_printable_string(tmp_path):
+    # The name reaches printed tables and gnuplot scripts: a newline in it
+    # would start a line of its own there.
+    path = tmp_path / "s2.json"
+    save(builtin("S2"), path)
+    doc = json.loads(path.read_text())
+    for name in ("S2'\nprint 'injected line'\n#", "tab\there", 2, None, ["S2"]):
+        doc["name"] = name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^name: expected a printable string$"):
+            load(path)
+    doc["name"] = "O'Brien"
+    path.write_text(json.dumps(doc))
+    assert load(path).name == "O'Brien"
+
+
 def test_scheme_is_immutable():
     sch = builtin("S2")
     with pytest.raises(AttributeError):
