@@ -17,14 +17,16 @@ from fractions import Fraction
 
 from . import __version__, analysis, derive, harness
 from . import scheme as sch
-from .exact import rat_str, to_double
+from .exact import parse_rat, rat_str, to_double
 from .integrate import integrate as run_integration
 from .integrate import problem as load_problem
 
 
 def _rat(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rat(text)
+    except OverflowError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
@@ -214,16 +216,14 @@ def cmd_integrate(args) -> int:
     blocks = run_integration(scheme, prob, args.dt, args.T)
     if args.out:
         header = ["t"] + [f"component_{k}" for k in range(prob.dim)]
-        harness.write_csv(args.out, header, ((b.n * dt, *b.values[scheme.s - 1]) for b in blocks))
+        harness.write_csv(args.out, header, ((n * dt, *b[-1]) for n, b in enumerate(blocks)))
         print(f"wrote {args.out}")
-    final = blocks[-1]
-    t = final.n * dt
+    t = (len(blocks) - 1) * dt
     if prob.exact is not None:
-        ref = prob.exact(t + scheme.float_tables[2] * dt).T
-        errs = abs(final.values - ref).max(axis=1)
-    print(f"final base time t={t:.17g} after {final.n} steps of dt={dt:.17g}")
-    for j in range(scheme.s):
-        vals = ", ".join(format(v, ".17g") for v in final.values[j])
+        errs = abs(blocks[-1] - prob.exact(t + scheme.float_tables[2] * dt).T).max(axis=1)
+    print(f"final base time t={t:.17g} after {len(blocks) - 1} steps of dt={dt:.17g}")
+    for j, row in enumerate(blocks[-1]):
+        vals = ", ".join(format(v, ".17g") for v in row)
         line = f"  c_in={rat_str(scheme.c_in[j])}: ({vals})"
         if prob.exact is not None:
             line += f"  |error|={errs[j]:.3e}"

@@ -17,6 +17,7 @@ range, or a nonzero one that rounds to 0.0, is an error that names it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import inf, isinf, lcm
 
@@ -42,6 +43,15 @@ def to_double(x, what: str) -> float:
     if value == 0 and x != 0:
         raise ValueError(f"{what} rounds to 0.0 in double precision")
     return value
+
+
+def parse_rat(text: str) -> Fraction:
+    """Fraction(text); OverflowError for a decimal exponent beyond sys.get_int_max_str_digits()."""
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise OverflowError(f"decimal exponent of {text!r} exceeds {limit} in magnitude")
+    return Fraction(text)
 
 
 def as_vector(entries) -> ExactVector:

@@ -11,11 +11,11 @@ Each study makes one oracle call for every time it needs: the reference
 values at n dt + c_j dt, the row times of the final block, and the starting
 rows at c_j dt, for every dt of the ladder.  The oracle is the closed form
 when there is one, otherwise one rk4_reference call, which doubles its own
-step count until two successive RK4 marches agree.  The final blocks of all
-dts come from one lockstep march (integrate.march, bound here as
-run_integration): one block step per time level for the whole ladder, so
-max N levels instead of sum N steps.  Nothing is kept between studies.  The
-ladder is checked before any of that work starts, its step counts decided by
+step count until two successive RK4 marches agree.  Every block of every dt
+comes from one lockstep march (integrate.march, bound here as
+run_integration), max N time levels for the whole ladder, and the study
+reads the last block of each.  Nothing is kept between studies.  The ladder
+is checked before any of that work starts, its step counts decided by
 integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach T = 3/10).
 """
 
@@ -134,8 +134,8 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
     # per half, per dt, one row per abscissa
     refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))
 
-    finals = run_integration(scheme, prob, given, T, starts)
-    global_err = [np.abs(final.values - ref).max(axis=1) for final, ref in zip(finals, refs)]
+    runs = run_integration(scheme, prob, given, T, starts)
+    global_err = [np.abs(blocks[-1] - ref).max(axis=1) for blocks, ref in zip(runs, refs)]
     lte = [measure_lte(scheme, prob, dt, T) for dt in given] if prob.exact is not None else None
     global_slopes, maxnorm_global = _slopes(dt_list, global_err)
     lte_slopes, maxnorm_lte = _slopes(dt_list, lte)

@@ -10,13 +10,12 @@ Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
 One kernel, _advance, makes that step, with both finiteness checks, for one
-block (step, and so integrate) or for a stack of blocks (march).  march runs
-a whole dt ladder in lockstep: each time level advances every run still
-short of T with one rhs call and one combine, and its last blocks equal
-those of separate step-by-step runs bit for bit.  _grid decides each run's
-step count on dt and T exactly as given (dt = 1/3 reaches T = 5/3), and
-exact.to_double renders each value to double once, naming a value that
-leaves double range.  A block stores its step count n; its time is n * dt.
+block (step) or for a stack of blocks (march).  march is the one stepping
+loop: it runs a dt ladder in lockstep, one rhs call and one combine per time
+level, and keeps every block of every run, bit for bit those of separate
+runs; integrate is march on one lane.  _grid decides each run's step count on
+dt and T exactly as given (dt = 1/3 reaches T = 5/3), and exact.to_double
+renders each value to double once, naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
@@ -231,33 +230,24 @@ def _check_marches(scheme: Scheme) -> None:
         raise ValueError("scheme does not march: c_out must equal c_in + 1")
 
 
-def integrate(scheme: Scheme, prob: Problem, dt, T) -> list[BlockState]:
-    """March from the bootstrap until the abscissa-0 row sits at time T.
-
-    Returns every block, in a list.  dt and T may be floats or exact
-    Fractions; _grid decides the step count on them as given, and stepping
-    uses dt's double rendering.  The scheme must march (_check_marches).
-    """
+def integrate(scheme: Scheme, prob: Problem, dt, T) -> np.ndarray:
+    """Every block from the bootstrap rows to T, shape (N + 1, s, dim), block n
+    at n * dt.  dt and T may be floats or exact Fractions; _grid decides N on
+    them as given, and stepping uses dt's double.  The scheme must march."""
     _check_marches(scheme)
-    n_steps, dtf = _grid(dt, T)
-    state = bootstrap(scheme, prob, dtf)
-    blocks = [state]
-    for _ in range(n_steps):
-        state = step(scheme, prob, state, dtf)
-        blocks.append(state)
-    return blocks
+    _grid(dt, T)  # T is checked before the bootstrap works
+    return march(scheme, prob, [dt], T, [bootstrap(scheme, prob, dt).values])[0]
 
 
-def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockState]:
-    """The last block of stepping from the given starting rows to T for every
-    dt of a ladder, bit for bit, in the order of dts; starts holds one
-    (s, dim) array of starting rows per dt.
+def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarray]:
+    """Every block of stepping to T from the given starting rows, one (s, dim)
+    array per dt, for every dt of a ladder, bit for bit, in the order of dts:
+    run i is a view of shape (N_i + 1, s, dim), block n at n * dt_i.
 
-    The runs advance in lockstep: time level k makes one rhs call and one
-    combine (_advance) for the stack of every run still short of T, each
-    lane at its own k * dt + c_in * dt.  Lanes are kept in decreasing order
-    of step count, so a run that reaches T leaves from the end of the stack,
-    and a study takes max N steps of Python work instead of sum N.
+    Time level k makes one rhs call and one combine (_advance) for the stack
+    of every run still short of T, each lane at its own k * dt + c_in * dt.
+    Lanes are kept in decreasing order of step count, so a run that reaches T
+    leaves from the end of the stack: max N levels of Python work, not sum N.
     """
     _check_marches(scheme)
     grids = [_grid(dt, T) for dt in dts]
@@ -268,24 +258,22 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[BlockSta
     if not np.isfinite(V).all():
         raise ValueError("non-finite state at step 0")
     order = sorted(range(len(grids)), key=lambda i: -grids[i][0])
-    V = V[order]
+    steps = [grids[i][0] for i in order]
+    blocks = np.empty((max(steps, default=0) + 1, *need))
+    blocks[0] = V = V[order]
     lane_dt = np.array([grids[i][1] for i in order])
     # Row r = l * s + j of the stack sits at k * dt_l + c_in[j] * dt_l.
     row_dt = np.repeat(lane_dt, scheme.s)
     row_offset = (scheme.float_tables[2] * lane_dt[:, None]).ravel()
     lane_dt = lane_dt[:, None, None]
-    finals = [None] * len(grids)
-    live, k = len(order), 0
-    while True:
-        while live and grids[order[live - 1]][0] == k:
-            live -= 1
-            i = order[live]
-            finals[i] = BlockState(n=k, values=V[live])
-        if not live:
-            return finals
-        r = live * scheme.s
-        V = _advance(scheme, prob, k, k * row_dt[:r] + row_offset[:r], V[:live], lane_dt[:live])
-        k += 1
+    live = len(steps)
+    for k in range(len(blocks) - 1):
+        if steps[live - 1] == k:  # runs that reach T here leave the stack
+            live = sum(n > k for n in steps)
+            r = live * scheme.s
+            V, row_dt, row_offset, lane_dt = V[:live], row_dt[:r], row_offset[:r], lane_dt[:live]
+        blocks[k + 1, :live] = V = _advance(scheme, prob, k, k * row_dt + row_offset, V, lane_dt)
+    return [blocks[: n + 1, lane] for (n, _), lane in zip(grids, np.argsort(order))]
 
 
 def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import ExactMatrix, ExactVector, as_matrix, as_vector, to_double
+from .exact import ExactMatrix, ExactVector, as_matrix, as_vector, parse_rat, to_double
 from .exact import rat_str as _rat_str
 
 
@@ -162,7 +162,9 @@ _FIELDS = {"name", "s", "c_in", "c_out", "A", "B"}
 
 def _parse_rat(value, where: str) -> Fraction:
     try:
-        return Fraction(str(value))
+        return parse_rat(str(value))
+    except OverflowError as e:
+        raise ValueError(f"{where}: {e}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{where}: invalid rational {value!r}") from None
 

@@ -69,6 +69,20 @@ def test_traced_cold_study_makes_one_reference_sweep():
     assert (calls, retries, distinct) == (1, 0, 1)
 
 
+def test_traced_study_is_one_march_and_no_step():
+    # bench/spans.py times a study's kernel through the "integrate.integrate"
+    # span on harness.run_integration, the lockstep march that returns every
+    # block of every dt; a study makes that one call and never calls step.
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    study = tracer.op(harness.converge)
+    report = study(builtin("S3A"), problem("P1"))
+    names = [r[spans.NAME] for r in tracer.spans]
+    assert names.count("integrate.integrate") == 1
+    assert "integrate.step" not in names
+    assert len(report.global_err) == len(harness.STANDARD_DTS)
+
+
 def test_traced_searches_evaluate_the_constraint_once_per_component():
     # derive.eis_constraint.calls per search is the constraint's row: s
     # evaluations, one per unit vector, and none for the root itself.

@@ -461,6 +461,34 @@ def test_usage_errors_exit_two(capsys):
         assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1e5000000", "--T", "1"],
+         "--dt", "1e5000000"),
+        (["integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1e-9999999"],
+         "--T", "1e-9999999"),
+        (["converge", "--scheme", "S2", "--problem", "P1", "--dts", "1/8,1e10000000,1/16"],
+         "--dts", "1e10000000"),
+        (["stability", "--scheme", "S2", "--re=-1e99999999:1"], "--re", "-1e99999999"),
+        (["search", "--fix", "0=1e4301"], "--fix", "1e4301"),
+    ],
+    ids=["integrate-dt", "integrate-T", "converge-dts", "stability-re", "search-fix"],
+)
+def test_a_decimal_exponent_beyond_the_digit_limit_is_a_usage_error(capsys, argv, flag, text):
+    # Refused before Fraction builds 10**exponent, which took seconds.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert exc.value.code == 2
+    complaint = f"argument {flag}: decimal exponent of {text!r} exceeds 4300 in magnitude\n"
+    assert capsys.readouterr().err.endswith(complaint)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from blockstep.exact import (
     as_matrix,
     matvec,
+    parse_rat,
     rank,
     rat_str,
     solve_linear,
@@ -25,6 +29,39 @@ def test_rat_str_formats():
     assert rat_str(F(-3, 2)) == "-3/2"
     assert rat_str(F(5)) == "5"
     assert rat_str(F(0)) == "0"
+
+
+@pytest.fixture
+def digit_limit():
+    # Python's limit on digits in int <-> str conversion, pinned for the test.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_parse_rat_reads_what_fraction_reads(digit_limit):
+    assert parse_rat("3/4") == F(3, 4)
+    assert parse_rat(" -2.5e-3 ") == F(-1, 400)
+    assert parse_rat("1E+4_300") == 10**4300  # the limit itself is allowed
+    assert parse_rat("1e-4300") == F(1, 10**4300)
+    assert parse_rat("1e400") == 10**400
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_rat("1e")
+    with pytest.raises(ZeroDivisionError):
+        parse_rat("1/0")
+
+
+def test_parse_rat_refuses_a_decimal_exponent_beyond_the_digit_limit(digit_limit):
+    # Fraction("1e5000000") alone builds 10**5000000 first, for seconds.
+    t0 = time.perf_counter()
+    for text in ("1e5000000", "1e-5000000", "-2.5E+4_301", "1e0004301", "1e" + "9" * 5000):
+        message = f"^decimal exponent of {re.escape(repr(text))} exceeds 4300 in magnitude$"
+        with pytest.raises(OverflowError, match=message):
+            parse_rat(text)
+    assert time.perf_counter() - t0 < 0.5
+    sys.set_int_max_str_digits(0)  # no limit: parsed as before
+    assert parse_rat("1e4301") == 10**4301
 
 
 def test_to_double_names_what_leaves_double_range():

@@ -135,9 +135,9 @@ def test_references_are_read_off_the_grid_the_march_ran():
         c_in = sch.float_tables[2]
         report = converge(sch, prob, dts=dts, T=T)
         starts = [prob.exact(c_in * float(dt)).T for dt in dts]
-        for dt, final, err in zip(dts, march(sch, prob, dts, T, starts), report.global_err):
-            rows = final.n * float(dt) + c_in * float(dt)
-            want = np.abs(final.values - prob.exact(rows).T).max(axis=1)
+        for dt, blocks, err in zip(dts, march(sch, prob, dts, T, starts), report.global_err):
+            rows = (len(blocks) - 1) * float(dt) + c_in * float(dt)
+            want = np.abs(blocks[-1] - prob.exact(rows).T).max(axis=1)
             assert np.array_equal(err, want), (sch_name, dt)
 
 

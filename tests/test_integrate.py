@@ -129,7 +129,7 @@ def test_long_run_constancy_drift_stays_within_budget():
     for name in BUILTIN_NAMES:
         sch = builtin(name)
         final = integrate(sch, prob, F(1, n), 1.0)[-1]
-        drift = np.max(np.abs(final.values - 1.0))
+        drift = np.max(np.abs(final - 1.0))
         assert drift <= n * sch.s * EPS, name
 
 
@@ -311,36 +311,33 @@ def test_bootstrap_of_a_one_row_scheme_is_the_initial_value():
 
 def test_integrate_p1_reaches_the_target():
     blocks = integrate(builtin("S2"), problem("P1"), F(1, 8), 1.0)
-    assert len(blocks) == 9
-    assert blocks[-1].n == 8
-    assert [b.n for b in blocks] == list(range(9))
-    err8 = abs(blocks[-1].values[-1, 0] - 0.5)
+    assert blocks.shape == (9, 2, 1)  # block n at n * dt, from 0 to 8
+    err8 = abs(blocks[-1][-1, 0] - 0.5)
     assert err8 < 1e-3
     finer = integrate(builtin("S2"), problem("P1"), F(1, 16), 1.0)
-    err16 = abs(finer[-1].values[-1, 0] - 0.5)
+    err16 = abs(finer[-1][-1, 0] - 0.5)
     assert err16 < err8 / 6  # third-order scheme: halving dt cuts ~8x
-
-
-def test_march_of_one_dt_matches_the_full_run():
+    # Block 0 is the bootstrap rows, and the run ends near the solution.
     sch, prob = builtin("S3C"), problem("P3")
-    full = integrate(sch, prob, F(1, 8), 1.0)
-    (last,) = march(sch, prob, [F(1, 8)], 1.0, [full[0].values])
-    assert last.n == 8
-    assert np.array_equal(full[-1].values, last.values)
-    assert abs(full[-1].values[-1, 0] - math.exp(-1.0)) < 1e-3
+    blocks = integrate(sch, prob, F(1, 8), 1.0)
+    assert np.array_equal(blocks[0], bootstrap(sch, prob, 0.125).values)
+    assert abs(blocks[-1][-1, 0] - math.exp(-1.0)) < 1e-3
 
 
-def _per_dt_finals(scheme, prob, dts, T, starts):
+def _per_dt_runs(scheme, prob, dts, T, starts):
     # The per-dt loop the lockstep march replaced, kept as its oracle: each
-    # dt steps alone from its given rows to T, one block at a time.
-    finals = []
+    # dt steps alone from its given rows to T with step, one block at a
+    # time, and keeps every block.
+    runs = []
     for dt, start in zip(dts, starts):
         dt = float(dt)
         state = BlockState(0, np.array(start, dtype=float))
+        blocks = [state.values]
         for _ in range(round(T / dt)):
             state = step(scheme, prob, state, dt)
-        finals.append(state)
-    return finals
+            blocks.append(state.values)
+        runs.append(np.array(blocks))
+    return runs
 
 
 LADDERS = [(STANDARD_DTS, T) for T in (1.0, 2.0, 4.0)] + [
@@ -353,17 +350,18 @@ LADDERS = [(STANDARD_DTS, T) for T in (1.0, 2.0, 4.0)] + [
 @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "forced"])
 def test_march_equals_the_per_dt_loop(name):
     # Lanes of different dt share each rhs call and combine; every lane's
-    # arithmetic is its own run's, so the last blocks agree bit for bit, on
+    # arithmetic is its own run's, so every block agrees bit for bit, on
     # non-dyadic dts and uneven step counts too, in the order of the ladder.
     prob = _forced() if name == "forced" else problem(name)
     for sch_name in BUILTIN_NAMES:
         sch = builtin(sch_name)
         for dts, T in LADDERS:
             starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
-            finals = march(sch, prob, dts, T, starts)
-            for got, want in zip(finals, _per_dt_finals(sch, prob, dts, T, starts)):
-                assert got.n == want.n, (sch_name, T)
-                assert np.array_equal(got.values, want.values), (sch_name, T, want.n)
+            runs = march(sch, prob, dts, T, starts)
+            assert len(runs) == len(dts)
+            for dt, got, want in zip(dts, runs, _per_dt_runs(sch, prob, dts, T, starts)):
+                assert got.shape == (round(T / dt) + 1, sch.s, prob.dim), (sch_name, T, dt)
+                assert np.array_equal(got, want), (sch_name, T, dt)
 
 
 def test_march_rejects_non_finite_start_rows():
@@ -407,7 +405,7 @@ def test_march_fails_at_the_step_of_the_lane_that_blows_up():
         alone = []
         for dt, start in zip(dts, starts):
             with pytest.raises(ValueError) as exc:
-                _per_dt_finals(sch, pole, [dt], 4.0, [start])
+                _per_dt_runs(sch, pole, [dt], 4.0, [start])
             alone.append(str(exc.value))
         assert alone == [f"non-finite state at step {k}" for k in (13, 12, 14)]
         with pytest.raises(ValueError, match=r"^non-finite state at step 12$"):
@@ -423,7 +421,7 @@ def test_march_rejects_an_rhs_that_breaks_the_batch_contract_on_a_stack():
     narrow = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u)[:, :2])
     sch = builtin("S2")
     starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS[:3]]
-    _per_dt_finals(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
+    _per_dt_runs(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
     with pytest.raises(ValueError, match=r"batch contract: \(1, 2\) for \(1, 6\)"):
         march(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
 
@@ -439,16 +437,15 @@ def test_step_counts_reject_values_beyond_double_range():
 
 
 def test_integrate_accepts_float_step_that_lands_on_target():
-    final = integrate(builtin("S2"), problem("P1"), 0.1, 1.0)[-1]
-    assert final.n == 10
+    assert integrate(builtin("S2"), problem("P1"), 0.1, 1.0).shape == (11, 2, 1)
 
 
 def test_block_time_does_not_drift_over_many_steps():
-    # Summing dt = 0.1 ten thousand times would end at 1000.0000000001588; a
-    # block stores only its step count, and its time n * dt is exact here.
-    final = integrate(builtin("S2"), problem("P3"), 0.1, 1000.0)[-1]
-    assert final.n == 10_000
-    assert final.n * 0.1 == 1000.0
+    # Summing dt = 0.1 ten thousand times would end at 1000.0000000001588;
+    # block n sits at n * dt, which is exact here.
+    n = len(integrate(builtin("S2"), problem("P3"), 0.1, 1000.0)) - 1
+    assert n == 10_000
+    assert n * 0.1 == 1000.0
 
 
 def test_grid_decides_reachability_on_the_exact_values():
@@ -480,7 +477,7 @@ def test_grid_names_a_negative_horizon():
         measure_lte(builtin("S2"), problem("P1"), 0.125, -1.0)
     with pytest.raises(ValueError, match=r"^T must be >= t0 = 0$"):
         integrate(builtin("S2"), problem("P1"), 0.125, -1.0)
-    assert [b.n for b in integrate(builtin("S2"), problem("P1"), 0.125, 0)] == [0]
+    assert integrate(builtin("S2"), problem("P1"), 0.125, 0).shape == (1, 2, 1)
 
 
 def test_integrate_rejects_misaligned_step():
@@ -507,7 +504,7 @@ def test_linear_problem_equals_matrix_power():
     B = np.array([[float(x) for x in row] for row in sch.B])
     M = A + dt * (-1.0) * B
     oracle = np.linalg.matrix_power(M, 16) @ bootstrap(sch, prob, dt).values
-    assert np.max(np.abs(final.values - oracle)) < 1e-13
+    assert np.max(np.abs(final - oracle)) < 1e-13
 
 
 def _count_sweeps(monkeypatch):

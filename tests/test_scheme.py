@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +136,25 @@ def test_load_reports_missing_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="missing field: B"):
         load(path)
+
+
+def test_load_refuses_a_decimal_exponent_beyond_the_digit_limit(tmp_path):
+    # Refused before Fraction builds 10**99999999, which took seconds.
+    path = tmp_path / "huge.json"
+    save(builtin("S2"), path)
+    doc = json.loads(path.read_text())
+    doc["c_in"] = ["1e99999999", "0"]
+    path.write_text(json.dumps(doc))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError) as exc:
+            load(path)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert time.perf_counter() - t0 < 0.5
+    assert str(exc.value) == "c_in[0]: decimal exponent of '1e99999999' exceeds 4300 in magnitude"
 
 
 def test_load_points_at_the_bad_rational(tmp_path):
