@@ -24,8 +24,9 @@ truncation error of the exact solution under a scheme, over all steps at once.
 All classical RK4 work goes through one march, _rk4_sweep.  It serves any
 set of times in [0, T]: each time off its grid gets one partial RK4 step
 from the grid value just before it.  bootstrap reads every starting row off
-one such march when there is no exact solution.  rk4_reference doubles the
-step count until two successive marches agree, each doubling adding one
+one such march when there is no exact solution.  rk4_reference starts from
+a step count set by its horizon, about 512 steps per unit of time, and
+doubles it until two successive marches agree, each doubling adding one
 march, so a convergence study takes its reference values and its starting
 rows (passed to march as `starts`) from one verified sweep.
 """
@@ -298,7 +299,7 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     return out
 
 
-_REF_START = 2048  # the first coarse step count rk4_reference tries
+_REF_START = 512  # coarse steps per unit of T that rk4_reference starts from
 _REF_LIMIT = 2**22  # the largest coarse step count rk4_reference tries
 
 
@@ -307,17 +308,25 @@ def rk4_reference(prob: Problem, T: float, times) -> tuple[np.ndarray, int]:
     per time, verified by step doubling with n and 2n steps over [0, T].
 
     Each requested time lies in [0, T] and is served from the same march (see
-    _rk4_sweep).  From n = _REF_START, while the two marches differ by 1e-12
-    or more at some time, n doubles and the finer march becomes the next
-    coarse one; values is the finer march of the passing pair.  Raises as
-    soon as a march is not finite, and once n passes _REF_LIMIT.
+    _rk4_sweep).  From n = 2^round(log2(_REF_START * T)), or 1 when
+    _REF_START * T <= 1, while the two marches differ by 1e-12 or more at
+    some time, n doubles and the finer march becomes the next coarse one;
+    values is the finer march of the passing pair.  Raises for a T that is
+    not finite, as soon as a march is not finite, and once n passes
+    _REF_LIMIT, before any march when the start already does.
     """
     T = float(T)
+    if not math.isfinite(T):
+        raise ValueError(f"reference horizon T = {T!r} is not finite")
     ts = [float(t) for t in times]
     for t in ts:
         if not 0.0 <= t <= T:
             raise ValueError(f"reference time {t!r} outside [t0, T] = [0.0, {T!r}]")
-    n, fine = _REF_START, _rk4_sweep(prob, T, _REF_START, ts)
+    # log2(_REF_START * T), summed so that no finite T overflows it.
+    n = 1 if _REF_START * T <= 1 else 2 ** round(math.log2(_REF_START) + math.log2(T))
+    if n > _REF_LIMIT:
+        raise ValueError("reference not converged")
+    fine = _rk4_sweep(prob, T, n, ts)
     while np.isfinite(fine).all():
         if n > _REF_LIMIT:
             raise ValueError("reference not converged")

@@ -2,10 +2,14 @@
 
 Everything here avoids the package's own residual formula so that tests
 compare two genuinely different routes: schemes applied to exact polynomial
-data versus the package's Taylor-coefficient vectors.
+data versus the package's Taylor-coefficient vectors.  gbs_solve likewise
+solves an initial-value problem without the package's RK4 code.
 """
 
+import math
 from fractions import Fraction as F
+
+import numpy as np
 
 from blockstep.scheme import Scheme, make_scheme
 
@@ -80,3 +84,39 @@ def taylor_residual_on_polynomial(scheme: Scheme, residual_vector, u_coeffs, t, 
         if p > len(u_coeffs) + 1:
             break
     return tuple(out)
+
+
+def _gbs_step(rhs, t, u, H, rows):
+    # One Gragg-Bulirsch-Stoer step of size H: the modified midpoint rule
+    # with 2, 4, ..., 2 rows substeps, extrapolated to h = 0 in powers of h^2
+    # (Aitken-Neville), order 2 rows.
+    table = []
+    for j in range(rows):
+        n = 2 * (j + 1)
+        h = H / n
+        z0, z1 = u, u + h * rhs(t, u)
+        for m in range(1, n):
+            z0, z1 = z1, z0 + 2 * h * rhs(t + m * h, z1)
+        row = [z1]
+        for k in range(1, j + 1):
+            ratio = (n / (2 * (j - k + 1))) ** 2
+            row.append(row[k - 1] + (row[k - 1] - table[-1][k - 1]) / (ratio - 1))
+        table.append(row)
+    return table[-1][-1]
+
+
+def gbs_solve(rhs, u0, times, H=0.125, rows=8):
+    """The solution of u' = rhs(t, u), u(0) = u0 at each time in times, one
+    row per time: Gragg-Bulirsch-Stoer extrapolation in plain numpy, with
+    equal steps of at most H between successive requested times (Hairer,
+    Norsett & Wanner, Solving ODEs I, section II.9)."""
+    out = np.empty((len(times), len(u0)))
+    t, u = 0.0, np.array(u0, dtype=float)
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        end = times[i]
+        m = math.ceil((end - t) / H)
+        for k in range(m):
+            a, b = t + (end - t) * k / m, t + (end - t) * (k + 1) / m
+            u = _gbs_step(rhs, a, u, b - a, rows)
+        t, out[i] = end, u
+    return out

@@ -29,12 +29,12 @@ global slopes: [2.880, 2.936]  max-norm: 2.936
 lte slopes:    [1.887, 1.899]  max-norm: 1.887
 """,
     ("S3A", "P2"): """\
-S3A on P2, T=1, reference: rk4 (doubling-verified, n_steps up to 2048)
+S3A on P2, T=1, reference: rk4 (doubling-verified, n_steps up to 512)
           dt       err[0]       err[1]       err[2]
        0.125   7.1169e-05   2.9041e-05   1.8649e-05
       0.0625   4.7361e-06   1.4136e-06   8.9587e-07
      0.03125   3.0733e-07   8.9802e-08   4.5304e-08
-    0.015625   1.9555e-08   5.7479e-09   2.4624e-09
+    0.015625   1.9555e-08   5.7479e-09   2.4625e-09
 global slopes: [3.943, 4.088, 4.297]  max-norm: 3.943
 """,
 }

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from _oracle_util import gbs_solve
 
 from blockstep.derive import assemble, search_s2
 from blockstep.harness import (
@@ -241,7 +242,7 @@ def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
             converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125), T=2.0)
     assert len(references) == 1
-    assert [n for _, _, n, _ in sweeps] == [2048]
+    assert [n for _, _, n, _ in sweeps] == [1024]
 
 
 def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
@@ -258,18 +259,49 @@ def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
     with pytest.raises(ValueError, match="math domain error"):
         converge(builtin("S2"), prob, dts=(0.125, 0.0625, 0.03125))
     assert len(references) == 1
-    assert [n for _, _, n, _ in sweeps] == [2048]
+    assert [n for _, _, n, _ in sweeps] == [512]
 
 
 def test_escalated_reference_makes_one_march_per_doubling(monkeypatch):
-    # At T = 8 the P2 reference passes only at n = 8192: the pairs 2048,
-    # 4096 and 8192 share their marches, four sweeps in all.
+    # At T = 8 the P2 reference starts at n = 4096 and passes only at
+    # n = 8192: the pairs 4096 and 8192 share their march, three sweeps in all.
     references = _counted(monkeypatch, harness, "rk4_reference")
     sweeps = _counted(monkeypatch, integrate, "_rk4_sweep")
     report = converge(builtin("S2"), problem("P2"), dts=(0.125, 0.0625, 0.03125), T=8.0)
     assert report.reference == "rk4 (doubling-verified, n_steps up to 8192)"
     assert len(references) == 1
-    assert [n for _, _, n, _ in sweeps] == [2048, 4096, 8192, 16384]
+    assert [n for _, _, n, _ in sweeps] == [4096, 8192, 16384]
+
+
+def test_gbs_oracle_matches_closed_forms():
+    # Unsorted times with a repeat and 0, on the three problems with an
+    # exact solution: well inside the 1e-12 that the P2 reference is held to
+    # against this oracle below.
+    times = [3.7, 0.1, 8.0, 0.0, 1.0, 3.7]
+    for name in ("P1", "P3", "P4"):
+        prob = problem(name)
+        got = gbs_solve(prob.rhs, prob.u0, times)
+        assert np.max(np.abs(got - prob.exact(np.array(times)).T)) < 2.5e-13, name
+
+
+@pytest.mark.parametrize("dts", [STANDARD_DTS[:3], STANDARD_DTS[1:]])
+@pytest.mark.parametrize("T", [1.0, 2.0, 4.0, 8.0])
+def test_p2_reference_agrees_with_extrapolation(monkeypatch, T, dts):
+    # The RK4 reference a P2 study requests, at every requested time, against
+    # an independent Gragg-Bulirsch-Stoer solution.
+    served, reference = [], harness.rk4_reference
+
+    def recorded(prob, T, times):
+        values, n = reference(prob, T, times)
+        served.append((times, values))
+        return values, n
+
+    monkeypatch.setattr(harness, "rk4_reference", recorded)
+    prob = problem("P2")
+    converge(builtin("S3A"), prob, dts=dts, T=T)
+    [(times, values)] = served
+    assert len(times) == 2 * len(dts) * 3
+    assert np.max(np.abs(values - gbs_solve(prob.rhs, prob.u0, times))) < 1e-12
 
 
 def test_converge_slope_is_stable_under_refinement():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -521,10 +522,10 @@ def _count_sweeps(monkeypatch):
 
 def test_rk4_reference_values():
     ref, n = rk4_reference(problem("P3"), 1.0, [1.0])
-    assert n == 2048
+    assert n == 512
     assert abs(ref[0, 0] - math.exp(-1.0)) < 1e-12
     ref, n = rk4_reference(problem("P1"), 1.0, [1.0])
-    assert n == 2048
+    assert n == 512
     assert abs(ref[0, 0] - 0.5) < 1e-12
 
 
@@ -542,35 +543,36 @@ def test_rk4_reference_rejects_unconverged_runs(monkeypatch):
 
 def test_rk4_reference_serves_requested_times_like_separate_runs():
     # Off-grid times, 0, T, unsorted, with a duplicate: one sweep agrees
-    # with a separate reference ending at each time.
+    # with a separate reference ending at each time, which starts, and here
+    # passes, at its own horizon's step count.
     times = [0.61803, 1.0, 0.0, 0.37, 0.61803]
+    starts = {0.61803: 256, 1.0: 512, 0.0: 1, 0.37: 256}
     for name in ("P1", "P2"):
         prob = problem(name)
         rows, n = rk4_reference(prob, 1.0, times=times)
-        assert n == 2048
+        assert n == 512
         assert rows.shape == (len(times), prob.dim)
         for t, row in zip(times[:4], rows):
             alone, n = rk4_reference(prob, t, [t])
-            assert n == 2048
+            assert n == starts[t]
             assert np.max(np.abs(row - alone[0])) < 1e-12, (name, t)
         assert np.array_equal(rows[0], rows[4])
         assert np.array_equal(rows[2], prob.u0)
 
 
-def test_rk4_reference_grid_times_get_the_grid_value(monkeypatch):
-    # 0.5 is grid point 512 of 1024 (coarse) and 1024 of 2048 (fine): the
-    # same march as a reference to 0.5 with half the steps, bit for bit,
+def test_rk4_reference_grid_times_get_the_grid_value():
+    # The start scales with the horizon, so a reference to 0.5 takes half
+    # the steps of one to 1: 0.5 is grid point 256 of 512 (coarse) and 512
+    # of 1024 (fine), the same march as the reference to 0.5, bit for bit,
     # and partial steps served on the way do not advance the march.
     prob = problem("P2")
-    monkeypatch.setattr(integrate_module, "_REF_START", 512)
     alone, n = rk4_reference(prob, 0.5, [0.5])
-    assert n == 512
-    monkeypatch.setattr(integrate_module, "_REF_START", 1024)
+    assert n == 256
     rows, n = rk4_reference(prob, 1.0, times=[0.3, 0.5, 0.7, 1.0])
-    assert n == 1024
+    assert n == 512
     assert np.array_equal(rows[1], alone[0])
     end, n = rk4_reference(prob, 1.0, [1.0])
-    assert n == 1024
+    assert n == 512
     assert np.array_equal(rows[3], end[0])
 
 
@@ -602,17 +604,56 @@ def test_rk4_reference_rejects_a_non_finite_march(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, times=[0.5, 1.5])
-        monkeypatch.setattr(integrate_module, "_REF_START", 8)
+        monkeypatch.setattr(integrate_module, "_REF_START", 4)  # 8 steps to T = 2
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, [2.0])
-        assert sweeps == [2048, 8]
+        assert sweeps == [1024, 8]
         # From one step the marches stay finite up to 4 steps; the first
         # non-finite one, the finer march of a pair, ends the escalation.
         sweeps.clear()
-        monkeypatch.setattr(integrate_module, "_REF_START", 1)
+        monkeypatch.setattr(integrate_module, "_REF_START", 0.5)
         with pytest.raises(ValueError, match="non-finite RK4 reference"):
             rk4_reference(prob, 2.0, [2.0])
         assert sweeps == [1, 2, 4, 8]
+
+
+def test_rk4_reference_start_is_set_by_the_horizon(monkeypatch):
+    # About 512 steps per unit of T, rounded to a power of 2: P2 passes at
+    # its first pair up to T = 4, and at T = 8 after one doubling.
+    prob = problem("P2")
+    sweeps = _count_sweeps(monkeypatch)
+    expected = {
+        1.0: [512, 1024],
+        2.0: [1024, 2048],
+        4.0: [2048, 4096],
+        8.0: [4096, 8192, 16384],
+    }
+    for T, marches in expected.items():
+        sweeps.clear()
+        _, n = rk4_reference(prob, T, [T])
+        assert sweeps == marches, T
+        assert n == marches[-2]
+
+
+def test_rk4_reference_refuses_a_start_beyond_the_limit(monkeypatch):
+    # At T = 1e5 the start, 2^26 steps, is past the limit: no pair within
+    # it can be tried, so the reference fails before any march instead of
+    # marching for minutes.  The largest doubles do not overflow the start.
+    prob = problem("P2")
+    sweeps = _count_sweeps(monkeypatch)
+    for T in (1e5, 1e300, sys.float_info.max):
+        with pytest.raises(ValueError, match="reference not converged"):
+            rk4_reference(prob, T, [T])
+    assert sweeps == []
+
+
+def test_rk4_reference_rejects_a_non_finite_horizon(monkeypatch):
+    prob = problem("P2")
+    sweeps = _count_sweeps(monkeypatch)
+    for T in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            rk4_reference(prob, T, [1.0])
+    assert sweeps == []
 
 
 def test_rk4_reference_rejects_times_outside_the_span():
