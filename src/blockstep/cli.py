@@ -2,8 +2,8 @@
 
 Subcommands: list, verify, truncation, derive, search, integrate, converge,
 stability.  Exit code 0 on success, 1 on domain errors (unknown scheme,
-unreachable horizon, bad input files), 2 on usage errors.  A failed
-verification is a finding, not an error: `verify` exits 0 either way.
+unreachable horizon, bad input files, out of memory), 2 on usage errors.
+A failed verification is a finding, not an error: `verify` exits 0 either way.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__, analysis, derive, harness
 from . import scheme as sch
 from .exact import parse_rat, rat_str, to_double
-from .integrate import integrate as run_integration
+from .integrate import _row_times, integrate as run_integration
 from .integrate import problem as load_problem
 
 
@@ -218,10 +218,10 @@ def cmd_integrate(args) -> int:
         header = ["t"] + [f"component_{k}" for k in range(prob.dim)]
         harness.write_csv(args.out, header, ((n * dt, *b[-1]) for n, b in enumerate(blocks)))
         print(f"wrote {args.out}")
-    t = (len(blocks) - 1) * dt
+    n = len(blocks) - 1
     if prob.exact is not None:
-        errs = abs(blocks[-1] - prob.exact(t + scheme.float_tables[2] * dt).T).max(axis=1)
-    print(f"final base time t={t:.17g} after {len(blocks) - 1} steps of dt={dt:.17g}")
+        errs = abs(blocks[-1] - prob.exact(_row_times(scheme.float_tables[2], n, dt)).T).max(axis=1)
+    print(f"final base time t={n * dt:.17g} after {n} steps of dt={dt:.17g}")
     for j, row in enumerate(blocks[-1]):
         vals = ", ".join(format(v, ".17g") for v in row)
         line = f"  c_in={rat_str(scheme.c_in[j])}: ({vals})"
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

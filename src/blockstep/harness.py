@@ -7,16 +7,17 @@ the local truncation error is measured as well.  Log-log slopes quantify the
 orders: an error-inhibiting scheme shows a global slope one above its LTE
 slope, a plain scheme shows equal slopes.
 
-Each study makes one oracle call for every time it needs: the reference
-values at n dt + c_j dt, the row times of the final block, and the starting
-rows at c_j dt, for every dt of the ladder.  The oracle is the closed form
-when there is one, otherwise one rk4_reference call, which doubles its own
-step count until two successive RK4 marches agree.  Every block of every dt
-comes from one lockstep march (integrate.march, bound here as
-run_integration), max N time levels for the whole ladder, and the study
-reads the last block of each.  Nothing is kept between studies.  The ladder
-is checked before any of that work starts, its step counts decided by
-integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach T = 3/10).
+Each study makes one oracle call at the row times of the first block (the
+starting rows) and of the final block (the reference values) of every dt,
+from integrate._row_times like the step kernel's own row times.  The oracle
+is the closed form when there is one, otherwise one rk4_reference call,
+which doubles its own step count until two successive RK4 marches agree.
+Every block of every dt comes from one lockstep march (integrate.march,
+bound here as run_integration), max N time levels for the whole ladder, and
+the study reads the last block of each.  Nothing is kept between studies.
+The ladder is checked before any of that work starts, its step counts
+decided by integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach
+T = 3/10).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import Problem, _check_marches, _grid, measure_lte
+from .integrate import Problem, _check_marches, _grid, _row_times, measure_lte
 from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
 
@@ -89,8 +90,8 @@ def _oracle(prob, times):
     passes at every time.
     """
     if prob.exact is not None:
-        return np.asarray(prob.exact(np.array(times)), dtype=float).T, "exact"
-    values, n = rk4_reference(prob, max(times), times=times)
+        return np.asarray(prob.exact(times), dtype=float).T, "exact"
+    values, n = rk4_reference(prob, times.max(), times=times)
     return values, f"rk4 (doubling-verified, n_steps up to {n})"
 
 
@@ -126,13 +127,11 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
     oracle call gives the references and the starting rows of every run.
     """
     given, steps, dt_list = map(list, zip(*_check_ladder(scheme, dts, T)))
-    c_in = scheme.float_tables[2].tolist()
-    # The final block's row times, in the march's arithmetic.
-    ends = [n * dtf + c * dtf for n, dtf in zip(steps, dt_list) for c in c_in]
-    begins = [c * dtf for dtf in dt_list for c in c_in]
-    values, reference = _oracle(prob, ends + begins)
-    # per half, per dt, one row per abscissa
-    refs, starts = values.reshape((2, len(dt_list), scheme.s, prob.dim))
+    # The row times of the first and the final block of every run: (2, L, s).
+    n = np.outer([0, 1], steps)[:, :, None]
+    times = _row_times(scheme.float_tables[2], n, np.array(dt_list)[:, None])
+    values, reference = _oracle(prob, times.ravel())
+    starts, refs = values.reshape((2, len(dt_list), scheme.s, prob.dim))  # per block, dt, row
 
     runs = run_integration(scheme, prob, given, T, starts)
     global_err = [np.abs(blocks[-1] - ref).max(axis=1) for blocks, ref in zip(runs, refs)]

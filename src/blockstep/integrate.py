@@ -10,11 +10,12 @@ Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
 One kernel, _advance, makes that step, with both finiteness checks, for one
-block (step) or for a stack of blocks (march).  march is the one stepping
-loop: it runs a dt ladder in lockstep, one rhs call and one combine per time
-level, and keeps every block of every run, bit for bit those of separate
-runs; integrate is march on one lane.  _grid decides each run's step count on
-dt and T exactly as given (dt = 1/3 reaches T = 5/3), and exact.to_double
+block (step) or for a stack of blocks (march), at the row times n dt + c_j dt
+that _row_times alone computes.  march is the one stepping loop: it runs a dt
+ladder in lockstep, one rhs call and one combine per time level, and keeps
+every block of every run, bit for bit those of separate runs; integrate is
+march on one lane.  _grid decides each run's step count, at most 2^53, on dt
+and T exactly as given (dt = 1/3 reaches T = 5/3), and exact.to_double
 renders each value to double once, naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
@@ -139,31 +140,33 @@ class BlockState:
     values: np.ndarray  # shape (s, dim), row j at time n * dt + c_in[j] * dt
 
 
-def _advance(scheme: Scheme, prob: Problem, n: int, times, V: np.ndarray, dt) -> np.ndarray:
-    """The block step A V + dt B F(V) for blocks on step n, in one rhs call.
+def _row_times(c, n, dt):
+    """Time of the row at abscissa c of block n, step dt, broadcast; the only such formula."""
+    return n * dt + c * dt
+
+
+def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt) -> np.ndarray:
+    """The block step A V + dt B F(V) for blocks n, in one rhs call at their _row_times.
 
     V is one block (s, dim) with step dt, or a stack of lanes (L, s, dim)
-    with dt of shape (L, 1, 1); times holds the time of every row, lane by
-    lane: base time + c_in[j] * dt.
+    with dt of shape (L, 1, 1).
     """
-    A, B, _, _ = scheme.float_tables
+    A, B, c_in, _ = scheme.float_tables
     rows = V.reshape(-1, V.shape[-1]).T  # every row of every lane as a column
-    F = prob.rhs(times, rows)
+    F = prob.rhs(_row_times(c_in, n, dt).ravel(), rows)
     if F.shape != rows.shape:
         raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
-    if not np.isfinite(F).all():
+    if np.count_nonzero(np.isfinite(F)) < F.size:  # cheaper per level than .all()
         raise ValueError(f"non-finite state at step {n + 1}")
     values = np.matmul(A, V) + dt * np.matmul(B, F.T.reshape(V.shape))
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) < values.size:
         raise ValueError(f"non-finite state at step {n + 1}")
     return values
 
 
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    times = state.n * dt + scheme.float_tables[2] * dt
-    values = _advance(scheme, prob, state.n, times, state.values, dt)
-    return BlockState(n=state.n + 1, values=values)
+    return BlockState(n=state.n + 1, values=_advance(scheme, prob, state.n, state.values, dt))
 
 
 def _rk4_step(rhs, t, u, h):
@@ -190,7 +193,7 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     s = scheme.s
-    times = scheme.float_tables[2] * dt
+    times = _row_times(scheme.float_tables[2], 0, dt)
     if prob.exact is not None:
         values = prob.exact(times).T.copy()  # C order, (s, dim)
     elif s == 1:
@@ -216,9 +219,11 @@ def _grid(dt, T) -> tuple[int, float]:
     if Tf < 0:
         raise ValueError("T must be >= t0 = 0")
     ratio = Fraction(T) / Fraction(dt)
+    x = Tf / dtf
+    if x > 2**53 or ratio > 2**53:  # past 2^53 steps, two blocks would share a time
+        raise ValueError(f"T = {Tf:g} takes more than 2^53 steps of dt = {dtf:g}")
     if ratio.denominator == 1:
         return int(ratio), dtf
-    x = Tf / dtf
     n = round(x)
     if n >= 1 and abs(x - n) <= 0.5 * math.ulp(max(1.0, x)):
         return n, dtf
@@ -246,9 +251,9 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     run i is a view of shape (N_i + 1, s, dim), block n at n * dt_i.
 
     Time level k makes one rhs call and one combine (_advance) for the stack
-    of every run still short of T, each lane at its own k * dt + c_in * dt.
-    Lanes are kept in decreasing order of step count, so a run that reaches T
-    leaves from the end of the stack: max N levels of Python work, not sum N.
+    of every run still short of T, each lane on its own row times.  Lanes are
+    kept in decreasing order of step count, so a run that reaches T leaves
+    from the end of the stack: max N levels of Python work, not sum N.
     """
     _check_marches(scheme)
     grids = [_grid(dt, T) for dt in dts]
@@ -262,18 +267,13 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     steps = [grids[i][0] for i in order]
     blocks = np.empty((max(steps, default=0) + 1, *need))
     blocks[0] = V = V[order]
-    lane_dt = np.array([grids[i][1] for i in order])
-    # Row r = l * s + j of the stack sits at k * dt_l + c_in[j] * dt_l.
-    row_dt = np.repeat(lane_dt, scheme.s)
-    row_offset = (scheme.float_tables[2] * lane_dt[:, None]).ravel()
-    lane_dt = lane_dt[:, None, None]
+    lane_dt = np.array([grids[i][1] for i in order])[:, None, None]
     live = len(steps)
     for k in range(len(blocks) - 1):
         if steps[live - 1] == k:  # runs that reach T here leave the stack
             live = sum(n > k for n in steps)
-            r = live * scheme.s
-            V, row_dt, row_offset, lane_dt = V[:live], row_dt[:r], row_offset[:r], lane_dt[:live]
-        blocks[k + 1, :live] = V = _advance(scheme, prob, k, k * row_dt + row_offset, V, lane_dt)
+            V, lane_dt = V[:live], lane_dt[:live]
+        blocks[k + 1, :live] = V = _advance(scheme, prob, k, V, lane_dt)
     return [blocks[: n + 1, lane] for (n, _), lane in zip(grids, np.argsort(order))]
 
 
@@ -348,8 +348,8 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
         raise ValueError("missing exact solution")
     n_steps, dtf = _grid(dt, T)
     A, B, c_in, c_out = scheme.float_tables
-    tn = np.arange(n_steps)[:, None] * dtf  # one row per step
-    U, U1 = prob.exact(tn + c_in * dtf), prob.exact(tn + c_out * dtf)  # (dim, N, s)
-    F = prob.rhs((tn + c_in * dtf).ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
+    t_in, t_out = (_row_times(c, np.arange(n_steps)[:, None], dtf) for c in (c_in, c_out))
+    U, U1 = prob.exact(t_in), prob.exact(t_out)  # (dim, N, s)
+    F = prob.rhs(t_in.ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
     tau = (U1 - U @ A.T - dtf * (F @ B.T)) / dtf
     return np.abs(tau).max(axis=(0, 1), initial=0.0)

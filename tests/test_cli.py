@@ -228,6 +228,31 @@ def test_integrate_rejects_a_horizon_below_one_step(capsys):
     assert (code, out, err) == (1, "", "error: T not reachable with this dt\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("converge", "--problem", "P1", "--T", "1e308", "--dts", "1/8,1/16,1/32"),
+     "T = 1e+308 takes more than 2^53 steps of dt = 0.125"),
+    (("converge", "--problem", "P2", "--T", "1e308", "--dts", "1/8,1/16,1/32"),
+     "T = 1e+308 takes more than 2^53 steps of dt = 0.125"),
+    (("integrate", "--problem", "P1", "--dt", "1e-17", "--T", "1"),
+     "T = 1 takes more than 2^53 steps of dt = 1e-17"),
+])
+def test_a_run_past_2_to_the_53_steps_is_an_error(capsys, argv, message):
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--scheme", "S2", *rest)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_run_too_large_for_memory_is_an_error(capsys):
+    # 10^15 + 1 blocks of two doubles, 14.2 PiB: far more than a process
+    # can map, so the allocation fails before any step runs.
+    code, out, err = run(
+        capsys, "integrate", "--scheme", "S2", "--problem", "P1",
+        "--dt", "1e-15", "--T", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_converge_refuses_a_scheme_name_that_would_write_plot_lines(tmp_path, capsys):
     path, plot = tmp_path / "evil.json", tmp_path / "evil.gp"
     save(builtin("S2"), path)

@@ -147,14 +147,21 @@ def test_converge_rejects_duplicate_dts():
         converge(builtin("S2"), problem("P1"), dts=(0.125, 0.125, 0.0625))
 
 
-def _counting(prob):
+def _recording(prob):
+    # A copy of prob whose rhs and exact (when it has one) log the times of
+    # every call, in call order.
     calls = []
 
     def rhs(t, u):
-        calls.append(t)
+        calls.append(("rhs", np.array(t, dtype=float)))
         return prob.rhs(t, u)
 
-    return dataclasses.replace(prob, rhs=rhs), calls
+    def exact(t):
+        calls.append(("exact", np.array(t, dtype=float)))
+        return prob.exact(t)
+
+    recorded = dataclasses.replace(prob, rhs=rhs, exact=exact if prob.exact is not None else None)
+    return recorded, calls
 
 
 @pytest.mark.parametrize(
@@ -170,21 +177,46 @@ def _counting(prob):
         ((0.125, 0.0625, 0.03125), F(1, 10**400), "T rounds to 0.0"),
         ((0.125, 0.0625, 0.03125), F(10**400), "T is too large"),
         ((1.0, 0.5, 0.25), 1e-17, "T not reachable with this dt"),
+        # Past 2^53 steps float(n) != n, and two blocks would share a time.
+        ((F(1, 8), F(1, 16), F(1, 32)), F(10**308), r"^T = 1e\+308 takes more than 2\^53 steps"),
     ],
 )
 def test_converge_checks_the_ladder_before_any_work(dts, T, message):
     for name in ("P1", "P2"):
-        prob, calls = _counting(problem(name))
+        prob, calls = _recording(problem(name))
         with pytest.raises(ValueError, match=message):
             converge(builtin("S3A"), prob, dts=dts, T=T)
         assert calls == [], name
+
+
+@pytest.mark.parametrize("sch_name", BUILTIN_NAMES)
+def test_the_oracle_is_asked_at_the_kernels_own_row_times(sch_name):
+    # On a non-dyadic ladder n dt + c dt rounds differently in another
+    # layout or formula.  The start rows given to the oracle are the times
+    # of the kernel's level-0 rhs call, and each lane's final rows are the
+    # times the kernel steps from at level N when that lane runs one step
+    # past T: bit for bit, lane by lane.
+    sch = builtin(sch_name)
+    prob, calls = _recording(problem("P4"))
+    dts = (F(1, 3), F(1, 5), F(1, 7))  # largest first, as the oracle orders lanes
+    converge(sch, prob, dts=dts, T=1)
+    oracle = next(t for what, t in calls if what == "exact")
+    level0 = next(t for what, t in calls if what == "rhs")  # the march's first level
+    starts, finals = oracle.reshape(2, len(dts), sch.s)
+    assert sorted(map(bytes, level0.reshape(len(dts), sch.s))) == sorted(map(bytes, starts))
+    for dt, start, final in zip(dts, starts, finals):
+        n = dt.denominator  # steps to T = 1
+        calls.clear()
+        march(sch, prob, [dt], (n + 1) * dt, [problem("P4").exact(start).T])
+        rhs = [t for what, t in calls if what == "rhs"]
+        assert (len(rhs), bytes(rhs[0]), bytes(rhs[n])) == (n + 1, bytes(start), bytes(final))
 
 
 def test_converge_rejects_a_scheme_that_does_not_march_before_any_work():
     s2 = builtin("S2")
     stuck = make_scheme("stuck", s2.c_in, (F(2), F(1)), s2.A, s2.B)  # c_out[0] = c_in[0] + 3/2
     for name in ("P1", "P2"):
-        prob, calls = _counting(problem(name))
+        prob, calls = _recording(problem(name))
         with pytest.raises(ValueError, match="scheme does not march"):
             converge(stuck, prob, dts=(0.125, 0.0625, 0.03125, 0.015625))
         assert calls == [], name
