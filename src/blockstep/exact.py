@@ -11,15 +11,15 @@ Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
 integers instead of fractions with multiplied-out denominators.
 
-to_double is the one way from a rational to a double: a value beyond double
-range, or a nonzero one that rounds to 0.0, is an error that names it.
+to_double is the one way from a rational to a double: NaN, a value beyond
+double range, or a nonzero one that rounds to 0.0, is an error that names it.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import inf, isinf, lcm
+from math import inf, isinf, isnan, lcm
 
 ExactVector = tuple[Fraction, ...]
 ExactMatrix = tuple[tuple[Fraction, ...], ...]
@@ -33,11 +33,13 @@ def rat_str(x: Fraction) -> str:
 
 def to_double(x, what: str) -> float:
     """x rounded to a double; ValueError naming `what` (a flag or an entry)
-    when x is beyond double range or a nonzero x rounds to 0.0."""
+    when x is NaN, beyond double range, or nonzero and rounds to 0.0."""
     try:
         value = float(x)
     except OverflowError:
         value = inf
+    if isnan(value):
+        raise ValueError(f"{what} is not a number")
     if isinf(value):
         raise ValueError(f"{what} is too large for double precision")
     if value == 0 and x != 0:

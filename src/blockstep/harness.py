@@ -109,7 +109,7 @@ def _check_ladder(scheme, dts, T):
     checking every cause a study would otherwise fail on after doing its
     work.  _grid decides each step count once, on dt and T as given."""
     _check_marches(scheme)
-    if not T > 0:
+    if T <= 0:  # a NaN T passes on to _grid, which names it
         raise ValueError("T must exceed t0 = 0")
     ladder = sorted(((dt, *_grid(dt, T)) for dt in dts), key=lambda rung: -rung[2])
     if len(ladder) < 3:

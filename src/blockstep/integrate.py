@@ -84,54 +84,30 @@ def make_problem(name, rhs, exact, u0) -> Problem:
     return Problem(name=name, rhs=rhs, exact=exact, u0=u0)
 
 
-def make_p1() -> Problem:
-    """u' = -u^2, u(0) = 1, exact solution 1/(1+t)."""
-    return make_problem(
-        "P1",
-        lambda t, u: -u * u,
-        lambda t: np.array([1.0 / (1.0 + t)]),
-        [1.0],
-    )
+def _vdp(t, u):
+    return np.array([u[1], 0.1 * (1.0 - u[0] * u[0]) * u[1] - u[0]])
 
 
-def make_vdp() -> Problem:
-    """Van der Pol oscillator with mu = 0.1; no closed-form solution."""
-
-    def rhs(t, u):
-        return np.array([u[1], 0.1 * (1.0 - u[0] * u[0]) * u[1] - u[0]])
-
-    return make_problem("P2", rhs, None, [2.0, 0.0])
-
-
-def make_dahlquist() -> Problem:
-    """u' = -u, exact exp(-t)."""
-    return make_problem(
-        "P3",
-        lambda t, u: -u,
-        lambda t: np.array([np.exp(-t)]),
-        [1.0],
-    )
-
-
-def make_p4() -> Problem:
-    """u' = cos(t) u, exact exp(sin t); a variable-coefficient linear test."""
-    return make_problem(
-        "P4",
-        lambda t, u: np.cos(t) * u,
-        lambda t: np.array([np.exp(np.sin(t))]),
-        [1.0],
-    )
-
-
-_PROBLEM_BUILDERS = {"P1": make_p1, "P2": make_vdp, "P3": make_dahlquist, "P4": make_p4}
-PROBLEM_NAMES = tuple(_PROBLEM_BUILDERS)
+_PROBLEMS = {  # name: (rhs, exact or None, u0)
+    # u' = -u^2, u(0) = 1, exact solution 1/(1+t).
+    "P1": (lambda t, u: -u * u, lambda t: np.array([1.0 / (1.0 + t)]), [1.0]),
+    # Van der Pol oscillator with mu = 0.1; no closed-form solution.
+    "P2": (_vdp, None, [2.0, 0.0]),
+    # u' = -u, exact exp(-t).
+    "P3": (lambda t, u: -u, lambda t: np.array([np.exp(-t)]), [1.0]),
+    # u' = cos(t) u, exact exp(sin t); a variable-coefficient linear test.
+    "P4": (lambda t, u: np.cos(t) * u, lambda t: np.array([np.exp(np.sin(t))]), [1.0]),
+}
+PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
 def problem(name: str) -> Problem:
+    """Return a built-in problem by name (P1-P4), checked by make_problem."""
     try:
-        return _PROBLEM_BUILDERS[name]()
+        entry = _PROBLEMS[name]
     except KeyError:
         raise ValueError(f"unknown problem: {name!r}") from None
+    return make_problem(name, *entry)
 
 
 @dataclass
@@ -248,12 +224,16 @@ def integrate(scheme: Scheme, prob: Problem, dt, T) -> np.ndarray:
 def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarray]:
     """Every block of stepping to T from the given starting rows, one (s, dim)
     array per dt, for every dt of a ladder, bit for bit, in the order of dts:
-    run i is a view of shape (N_i + 1, s, dim), block n at n * dt_i.
+    run i is one C-contiguous lane of shape (N_i + 1, s, dim), block n at
+    n * dt_i.
 
     Time level k makes one rhs call and one combine (_advance) for the stack
     of every run still short of T, each lane on its own row times.  Lanes are
     kept in decreasing order of step count, so a run that reaches T leaves
-    from the end of the stack: max N levels of Python work, not sum N.
+    from the end of the stack: max N levels of Python work, not sum N.  The
+    storage is lane-major, (L, max N + 1, s, dim): a run that leaves early
+    never touches the tail of its lane, so the memory touched is about sum N
+    blocks.
     """
     _check_marches(scheme)
     grids = [_grid(dt, T) for dt in dts]
@@ -265,16 +245,16 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
         raise ValueError("non-finite state at step 0")
     order = sorted(range(len(grids)), key=lambda i: -grids[i][0])
     steps = [grids[i][0] for i in order]
-    blocks = np.empty((max(steps, default=0) + 1, *need))
-    blocks[0] = V = V[order]
+    blocks = np.empty((len(steps), max(steps, default=0) + 1, *need[1:]))
+    blocks[:, 0] = V = V[order]
     lane_dt = np.array([grids[i][1] for i in order])[:, None, None]
     live = len(steps)
-    for k in range(len(blocks) - 1):
+    for k in range(blocks.shape[1] - 1):
         if steps[live - 1] == k:  # runs that reach T here leave the stack
             live = sum(n > k for n in steps)
             V, lane_dt = V[:live], lane_dt[:live]
-        blocks[k + 1, :live] = V = _advance(scheme, prob, k, V, lane_dt)
-    return [blocks[: n + 1, lane] for (n, _), lane in zip(grids, np.argsort(order))]
+        blocks[:live, k + 1] = V = _advance(scheme, prob, k, V, lane_dt)
+    return [blocks[lane, : n + 1] for (n, _), lane in zip(grids, np.argsort(order))]
 
 
 def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:

@@ -73,6 +73,9 @@ def test_to_double_names_what_leaves_double_range():
     for huge in (F(10**400), F(-(10**400)), float("inf")):
         with pytest.raises(ValueError, match=r"^A\[0\]\[1\] is too large for double precision$"):
             to_double(huge, "A[0][1]")
+    for nan in (float("nan"), -float("nan")):
+        with pytest.raises(ValueError, match=r"^T is not a number$"):
+            to_double(nan, "T")
 
 
 def test_matvec_kills_the_zero_eigenvector():

@@ -179,6 +179,8 @@ def _recording(prob):
         ((1.0, 0.5, 0.25), 1e-17, "T not reachable with this dt"),
         # Past 2^53 steps float(n) != n, and two blocks would share a time.
         ((F(1, 8), F(1, 16), F(1, 32)), F(10**308), r"^T = 1e\+308 takes more than 2\^53 steps"),
+        ((0.125, 0.0625, 0.03125), math.nan, r"^T is not a number$"),
+        ((0.125, math.nan, 0.03125), 1.0, r"^dt is not a number$"),
     ],
 )
 def test_converge_checks_the_ladder_before_any_work(dts, T, message):

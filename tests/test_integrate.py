@@ -15,7 +15,6 @@ from blockstep.integrate import (
     _grid,
     bootstrap,
     integrate,
-    make_dahlquist,
     make_problem,
     march,
     measure_lte,
@@ -156,7 +155,7 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
 
 
 def test_dahlquist_step_is_the_amplification_matrix():
-    prob = make_dahlquist()
+    prob = problem("P3")
     dt = 0.1
     for name in ("S2", "S3B"):
         sch = builtin(name)
@@ -365,6 +364,17 @@ def test_march_equals_the_per_dt_loop(name):
                 assert np.array_equal(got, want), (sch_name, T, dt)
 
 
+def test_march_keeps_each_run_in_one_contiguous_lane():
+    # Storage is lane-major, so a run that reaches T early never touches
+    # the tail of its lane.
+    sch, prob = builtin("S3A"), problem("P1")
+    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS]
+    runs = march(sch, prob, STANDARD_DTS, 1.0, starts)
+    for dt, run in zip(STANDARD_DTS, runs):
+        assert run.shape == (round(1.0 / dt) + 1, sch.s, prob.dim), dt
+        assert run.flags.c_contiguous, dt
+
+
 def test_march_rejects_non_finite_start_rows():
     sch, dts = builtin("S2"), STANDARD_DTS[:3]
     for prob in (problem("P1"), problem("P2")):
@@ -437,6 +447,30 @@ def test_step_counts_reject_values_beyond_double_range():
         march(sch, prob, [F(1, 10**400)], 1.0, [[[1.0], [1.0]]])
 
 
+def test_a_nan_step_or_horizon_is_named_before_any_rhs_or_exact_call():
+    sch, base = builtin("S2"), problem("P1")
+    calls = []
+
+    def logged(f):
+        return lambda *args: calls.append(f) or f(*args)
+
+    prob = dataclasses.replace(base, rhs=logged(base.rhs), exact=logged(base.exact))
+    start = [bootstrap(sch, base, F(1, 8)).values]
+    nan = math.nan
+    for run, what in [
+        (lambda: integrate(sch, prob, nan, 1.0), "dt"),
+        (lambda: integrate(sch, prob, F(1, 8), nan), "T"),
+        (lambda: march(sch, prob, [nan], 1.0, start), "dt"),
+        (lambda: march(sch, prob, [F(1, 8)], nan, start), "T"),
+        (lambda: measure_lte(sch, prob, nan, 1.0), "dt"),
+        (lambda: measure_lte(sch, prob, F(1, 8), nan), "T"),
+        (lambda: bootstrap(sch, prob, nan), "dt"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{what} is not a number$"):
+            run()
+        assert calls == [], what
+
+
 def test_integrate_accepts_float_step_that_lands_on_target():
     assert integrate(builtin("S2"), problem("P1"), 0.1, 1.0).shape == (11, 2, 1)
 
@@ -498,7 +532,7 @@ def test_integrate_requires_marching_abscissae():
 
 def test_linear_problem_equals_matrix_power():
     sch = builtin("S2")
-    prob = make_dahlquist()
+    prob = problem("P3")
     dt = 1.0 / 16
     final = integrate(sch, prob, F(1, 16), 1.0)[-1]
     A = np.array([[float(x) for x in row] for row in sch.A])
