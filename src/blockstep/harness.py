@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import Problem, _check_marches, _grid, _row_times, measure_lte
+from .integrate import Problem, _check_marches, _closed_form, _grid, _row_times, measure_lte
 from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
 
@@ -84,13 +84,13 @@ def fit_slope(points) -> float:
 def _oracle(prob, times):
     """(values, provenance) at each time, one row per time.
 
-    A closed form is evaluated once on all times.  Otherwise one RK4
-    reference up to the largest time serves them all, in any order and with
-    repeats; rk4_reference doubles its step count until the doubling check
-    passes at every time.
+    A closed form is evaluated once on all times; a value that is not finite
+    is an error.  Otherwise one RK4 reference up to the largest time serves
+    them all, in any order and with repeats; rk4_reference doubles its step
+    count until the doubling check passes at every time.
     """
     if prob.exact is not None:
-        return np.asarray(prob.exact(times), dtype=float).T, "exact"
+        return _closed_form(prob, times).T, "exact"
     values, n = rk4_reference(prob, times.max(), times=times)
     return values, f"rk4 (doubling-verified, n_steps up to {n})"
 

@@ -22,19 +22,19 @@ Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
 truncation error of the exact solution under a scheme, over all steps at once.
 
-All classical RK4 work goes through one march, _rk4_sweep.  It serves any
-set of times in [0, T]: each time off its grid gets one partial RK4 step
-from the grid value just before it.  bootstrap reads every starting row off
-one such march when there is no exact solution.  rk4_reference starts from
-a step count set by its horizon, about 512 steps per unit of time, and
-doubles it until two successive marches agree, each doubling adding one
-march, so a convergence study takes its reference values and its starting
-rows (passed to march as `starts`) from one verified sweep.
+All classical RK4 work goes through one forward march, _rk4_sweep, which
+serves any times in [0, T] in increasing order, each off its grid by one
+partial RK4 step from the grid value before it; to T = 0 it takes no step.
+bootstrap reads every starting row off one such march when there is no
+exact solution.  rk4_reference starts from a step count set by its horizon,
+about 512 steps per unit of time, and doubles it until two successive
+marches agree, each doubling adding one march, so a convergence study takes
+its reference values and its starting rows (passed to march as `starts`)
+from one verified sweep.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,22 +161,19 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
     fills them, each row read off it at c_in[j] * dt; for evenly spaced
     abscissae that is n_sub steps per abscissa interval.  The starter error
     stays far below any order visible at these step sizes.  Row s - 1 sits
-    at 0 and is u0 itself.
+    at 0 and is u0 itself: a one-row scheme takes no RK4 step.
     """
     dt = to_double(dt, "dt")
     if dt <= 0:
         raise ValueError("non-positive step")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    s = scheme.s
     times = _row_times(scheme.float_tables[2], 0, dt)
     if prob.exact is not None:
         values = prob.exact(times).T.copy()  # C order, (s, dim)
-    elif s == 1:
-        values = prob.u0[None, :].copy()
     else:
         times = times.tolist()  # Python floats: cheap scalar RK4 arithmetic
-        values = _rk4_sweep(prob, times[0], (s - 1) * n_sub, times)
+        values = _rk4_sweep(prob, times[0], (scheme.s - 1) * n_sub, times)
     if not np.isfinite(values).all():
         raise ValueError("non-finite state at step 0")
     return BlockState(n=0, values=values)
@@ -258,24 +255,24 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
 
 
 def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
-    # One march of n steps on the grid t_k = k*h, with t_n = T.  Each time is
-    # served from the last grid point t_k <= t: the grid value when t_k == t,
-    # otherwise one partial step of length t - t_k.
-    h = T / n
+    # One forward march of n steps on the grid t_k = k*h, t_n = T, serving
+    # the times in increasing order: it steps while the next grid point is
+    # not past t, then serves the grid value when t_k == t, else one partial
+    # step.  n = 0 only when T = 0: the march takes no step and serves u0.
+    h = T / max(n, 1)
 
     def grid(k):
         return T if k == n else k * h
 
-    bases = [bisect.bisect_right(range(n + 1), t, key=grid) - 1 for t in times]
     out = np.empty((len(times), prob.dim))
     u = prob.u0.copy()
     k = 0
-    for i in sorted(range(len(times)), key=bases.__getitem__):
-        while k < bases[i]:
+    for t, i in sorted(zip(times, range(len(times)))):
+        while k < n and grid(k + 1) <= t:
             u = _rk4_step(prob.rhs, k * h, u, h)
             k += 1
         tk = grid(k)
-        out[i] = u if times[i] == tk else _rk4_step(prob.rhs, tk, u, times[i] - tk)
+        out[i] = u if t == tk else _rk4_step(prob.rhs, tk, u, t - tk)
     return out
 
 
@@ -318,18 +315,27 @@ def rk4_reference(prob: Problem, T: float, times) -> tuple[np.ndarray, int]:
     raise ValueError("non-finite RK4 reference")
 
 
+def _closed_form(prob: Problem, t: np.ndarray) -> np.ndarray:
+    """prob.exact(t) as doubles; an error names the first time where it is not finite."""
+    values = np.asarray(prob.exact(t), dtype=float)
+    if not np.isfinite(values).all():
+        bad = t[~np.isfinite(values).all(axis=0)]
+        raise ValueError(f"non-finite exact solution at t = {float(bad.min())!r}")
+    return values
+
+
 def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
     """Max |tau_n| per block component over all steps to T.
 
     tau_n = (U_{n+1} - A U_n - dt B F(U_n)) / dt with both blocks built from
-    the exact solution; requires the problem to have one.
+    the exact solution; requires the problem to have one, finite throughout.
     """
     if prob.exact is None:
         raise ValueError("missing exact solution")
     n_steps, dtf = _grid(dt, T)
     A, B, c_in, c_out = scheme.float_tables
     t_in, t_out = (_row_times(c, np.arange(n_steps)[:, None], dtf) for c in (c_in, c_out))
-    U, U1 = prob.exact(t_in), prob.exact(t_out)  # (dim, N, s)
+    U, U1 = _closed_form(prob, t_in), _closed_form(prob, t_out)  # (dim, N, s)
     F = prob.rhs(t_in.ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
     tau = (U1 - U @ A.T - dtf * (F @ B.T)) / dtf
     return np.abs(tau).max(axis=(0, 1), initial=0.0)

@@ -8,7 +8,8 @@ the printed table, slopes or reference line on either branch fails here.
 Every other subcommand is pinned on one or two representative calls;
 `integrate` on P2 covers the RK4 bootstrap.  The three CSV outputs
 (`converge --csv`, `integrate --out`, `stability --out`) are pinned byte for
-byte, together with the stdout of the call that writes them.
+byte, together with the stdout of the call that writes them; the `converge`
+CSVs on P2 pin the RK4 reference values at full precision.
 """
 
 import pytest
@@ -193,6 +194,9 @@ def test_cli_stdout_is_pinned(capsys, argv):
 INTEGRATE_P1 = ("integrate", "--scheme", "S2", "--problem", "P1", "--dt", "1/8", "--T", "1")
 INTEGRATE_P2 = ("integrate", "--scheme", "S3A", "--problem", "P2", "--dt", "1/8", "--T", "1")
 STABILITY = ("stability", "--scheme", "S2", "--n", "3")
+CONVERGE_P2_T8 = (
+    "converge", "--scheme", "S2", "--problem", "P2", "--T", "8", "--dts", "1/8,1/16,1/32"
+)
 
 # argv without the output path: (stdout with {path} for it, file contents)
 FILE_GOLDEN = {
@@ -204,6 +208,27 @@ dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1
 0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878336282,0.00082599614685396894
 0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146549114,0.00021965214272756661
 0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547915173,5.6664185929200528e-05
+""",
+    ),
+    # The P2 errors at full precision pin the RK4 reference values they are
+    # measured against: passing at the first doubling pair, and escalating.
+    ("converge", "--scheme", "S3A", "--problem", "P2", "--dts", LADDER, "--csv"): (
+        GOLDEN["S3A", "P2"] + "wrote {path}\n",
+        """\
+dt,global_err_comp_0,global_err_comp_1,global_err_comp_2
+0.125,7.116937877604812e-05,2.9040731487128824e-05,1.8649126660497117e-05
+0.0625,4.7361063402195924e-06,1.4136153489996417e-06,8.9587397167356642e-07
+0.03125,3.0733064537713517e-07,8.9801630132058108e-08,4.5304026086157023e-08
+0.015625,1.9555224772815905e-08,5.7479470072507866e-09,2.4624533523365244e-09
+""",
+    ),
+    (*CONVERGE_P2_T8, "--csv"): (
+        CLI_GOLDEN[CONVERGE_P2_T8] + "wrote {path}\n",
+        """\
+dt,global_err_comp_0,global_err_comp_1
+0.125,0.0038694103652496814,0.0045928950724869466
+0.0625,0.00047115246143603073,0.00057006380141721991
+0.03125,5.8267618277429989e-05,7.1200612038690991e-05
 """,
     ),
     (*INTEGRATE_P1, "--out"): (

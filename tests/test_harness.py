@@ -279,6 +279,19 @@ def test_converge_fails_on_a_non_finite_reference_after_one_sweep(monkeypatch):
     assert [n for _, _, n, _ in sweeps] == [1024]
 
 
+def test_converge_names_a_non_finite_closed_form_before_any_rhs_call():
+    # u = 1/(1 - t) blows up at T = 1, a row time of every final block: the
+    # study fails at its one oracle call, as the RK4 branch does, instead of
+    # reporting an inf error and a NaN slope.
+    prob, calls = _recording(
+        make_problem("blow", lambda t, u: u * u, lambda t: np.array([1.0 / (1.0 - t)]), [1.0])
+    )
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite exact solution at t = 1\.0$"):
+            converge(builtin("S2"), prob, dts=(1 / 8, 1 / 16, 1 / 32), T=1.0)
+    assert [what for what, _ in calls] == ["exact"]
+
+
 def test_rhs_error_ends_a_cold_study_after_one_sweep(monkeypatch):
     # An error raised by rhs is not a failed doubling check: it ends the
     # study in the first sweep, at its first step, instead of doubling n.

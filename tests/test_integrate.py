@@ -610,6 +610,26 @@ def test_rk4_reference_grid_times_get_the_grid_value():
     assert np.array_equal(rows[3], end[0])
 
 
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_sweep_rows_do_not_depend_on_the_order_of_times(name, n):
+    # The march serves its times in increasing order, so a shuffled list
+    # gets, row for row and bit for bit, the rows of the same list sorted:
+    # duplicates, 0, T, grid times (h = 1/3 is not dyadic) and off-grid ones.
+    prob, h = problem(name), 1.0 / n
+    times = [0.61803, 1.0, 0.0, (n // 2) * h, 0.37, h, 0.61803, 0.0, 0.9, 1.0]
+    shuffled = [times[i] for i in (4, 9, 2, 6, 0, 8, 3, 7, 1, 5)]
+    rows = integrate_module._rk4_sweep(prob, 1.0, n, shuffled)
+    in_order = integrate_module._rk4_sweep(prob, 1.0, n, sorted(shuffled))
+    assert rows[np.argsort(shuffled, kind="stable")].tobytes() == in_order.tobytes()
+
+
+def test_a_zero_step_sweep_serves_the_initial_value():
+    prob = problem("P2")
+    rows = integrate_module._rk4_sweep(prob, 0.0, 0, [0.0, 0.0])
+    assert rows.tobytes() == np.array([prob.u0, prob.u0]).tobytes()
+
+
 def test_rk4_reference_checks_every_requested_time(monkeypatch):
     # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
@@ -734,6 +754,17 @@ def test_batched_lte_matches_the_row_loop(name, T):
 def test_lte_needs_an_exact_solution():
     with pytest.raises(ValueError, match="missing exact solution"):
         measure_lte(builtin("S3A"), problem("P2"), F(1, 16), 1.0)
+
+
+def test_lte_names_the_first_time_the_exact_solution_is_not_finite():
+    # u = 1/(1/2 - t) has its pole at the row time 1/2, where the residual
+    # would be NaN and inf instead of an error.
+    prob = make_problem(
+        "pole", lambda t, u: u * u, lambda t: np.array([1.0 / (0.5 - t)]), [2.0]
+    )
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite exact solution at t = 0\.5$"):
+            measure_lte(builtin("S2"), prob, 1 / 8, 1.0)
 
 
 def test_lte_is_negligible_for_constants():
