@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ExactVector, matvec, rank
+from .exact import ExactVector, dot, matvec, rank
 from .scheme import Scheme
 
 
@@ -55,18 +55,14 @@ def residual_vector(scheme: Scheme, p: int) -> ExactVector:
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    ones = tuple(Fraction(1) for _ in range(scheme.s))
     if p == 0:
-        Aones = matvec(scheme.A, ones)
-        return tuple(1 - x for x in Aones)
+        return tuple(1 - x for x in matvec(scheme.A, (1,) * scheme.s))
+    # Row i of p! d_p is c_out_i^p - A_i . c_in^p - p B_i . c_in^(p-1): one dot.
+    u = tuple(-(c**p) for c in scheme.c_in) + tuple(-p * c ** (p - 1) for c in scheme.c_in)
     fp = factorial(p)
-    fq = factorial(p - 1)
-    cin_p = tuple(c**p / fp for c in scheme.c_in)
-    cin_q = tuple(c ** (p - 1) / fq for c in scheme.c_in)
-    Acin = matvec(scheme.A, cin_p)
-    Bcin = matvec(scheme.B, cin_q)
     return tuple(
-        scheme.c_out[i] ** p / fp - Acin[i] - Bcin[i] for i in range(scheme.s)
+        (c**p + dot(A_i + B_i, u)) / fp
+        for c, A_i, B_i in zip(scheme.c_out, scheme.A, scheme.B)
     )
 
 
@@ -147,9 +143,7 @@ def verify_conditions(scheme: Scheme) -> VerificationReport:
         # {1, 0, ..., 0} with independent eigenvectors: diagonalizable.
         trace = sum((a[i] for i in range(scheme.s)), Fraction(0))
         c3 = ConditionRecord(trace != 0, trace)
-        eis = sum(
-            (a[i] * order.leading[i] for i in range(scheme.s)), Fraction(0)
-        )
+        eis = dot(a, order.leading)
         c4 = ConditionRecord(eis == 0, eis)
 
     return VerificationReport(

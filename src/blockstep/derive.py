@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis
-from .exact import ExactMatrix, ExactVector, as_vector, solve_linear
+from .exact import ExactMatrix, ExactVector, as_vector, dot, solve_linear
 from .scheme import Scheme, make_scheme
 
 S3_C_IN = (Fraction(2, 3), Fraction(1, 3), Fraction(0))
@@ -49,7 +49,7 @@ def solve_B(a, c_in, c_out=None) -> ExactMatrix:
     # Column i of R is the system for row b_i; a^T c_in^p is shared by all.
     R = []
     for p in range(1, s + 1):
-        m = sum(a[j] * c_in[j] ** p for j in range(s))
+        m = dot(a, [c**p for c in c_in])
         R.append(tuple((c_out[i] ** p - m) / p for i in range(s)))
     return tuple(zip(*solve_linear(V, tuple(R))))
 
@@ -65,7 +65,7 @@ def eis_constraint(a, c_in, c_out=None) -> Fraction:
     """The scalar a^T d_{s+1} for the scheme assembled from a."""
     sch = assemble(a, c_in, c_out)
     d = analysis.residual_vector(sch, sch.s + 1)
-    return sum((sch.A[0][i] * d[i] for i in range(sch.s)), Fraction(0))
+    return dot(sch.A[0], d)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:
     if w[i] == w[j]:
         return []
     rest = 1 - sum(fixed.values(), Fraction(0))
-    pinned = sum((w[k] * v for k, v in fixed.items()), Fraction(0))
+    pinned = dot([w[k] for k in fixed], fixed.values())
     t = (w[j] * rest + pinned) / (w[j] - w[i])
     if not lo <= t <= hi:
         return []

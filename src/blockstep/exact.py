@@ -7,9 +7,16 @@ exact equality, never by floating-point tolerance.  The stdlib
 denominator, reduced terms, exact arithmetic); this module adds the
 vector/matrix layer on top of it.
 
+Every exact dot product goes through dot, which reduces once: it sums the
+integer numerators of the terms over the lcm of their denominators and builds
+a single Fraction.  A plain sum of Fraction products normalises each product
+and each partial sum with a gcd of its own, 2n reductions for n terms, and
+those dominate the cost of the residual and constraint algebra.
+
 Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
-integers instead of fractions with multiplied-out denominators.
+integers instead of fractions with multiplied-out denominators.  Back
+substitution stays in integers too, so each solution entry is reduced once.
 
 to_double is the one way from a rational to a double: NaN, a value beyond
 double range, or a nonzero one that rounds to 0.0, is an error that names it.
@@ -80,7 +87,15 @@ def matvec(M: ExactMatrix, v: ExactVector) -> ExactVector:
         raise ValueError(
             f"dimension mismatch: matrix has {len(M[0])} columns, vector has {len(v)}"
         )
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in M)
+    return tuple(dot(row, v) for row in M)
+
+
+def dot(u, v) -> Fraction:
+    """Exact sum of u_j * v_j over rationals or ints of equal length, reduced once."""
+    terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
+             for x, y in zip(u, v, strict=True)]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def _integer_rows(M, extra=None):
@@ -91,7 +106,7 @@ def _integer_rows(M, extra=None):
     for i, row in enumerate(M):
         full = list(row) + (list(extra[i]) if extra is not None else [])
         scale = lcm(*(f.denominator for f in full))
-        rows.append([int(f * scale) for f in full])
+        rows.append([f.numerator * (scale // f.denominator) for f in full])
     return rows
 
 
@@ -147,12 +162,16 @@ def solve_linear(M: ExactMatrix, R: ExactMatrix) -> ExactMatrix:
     rows = _integer_rows(M, extra=R)
     if _eliminate(rows, n) < n:
         raise ValueError("singular system")
-    # Back substitution in rationals on the integer triangle, all columns at once.
-    X = [()] * n
+    # Back substitution in integers, all columns at once.  The last Bareiss
+    # pivot D is the determinant of the scaled, row-permuted M, so D X is
+    # integral (Cramer's rule) and each division below is exact: every entry
+    # of X is reduced once, as Fraction(D x, D).
+    D = rows[n - 1][n - 1]
+    Y = [()] * n
     for i in range(n - 1, -1, -1):
         top = rows[i]
-        X[i] = tuple(
-            Fraction(top[n + c] - sum(top[j] * X[j][c] for j in range(i + 1, n)), top[i])
+        Y[i] = [
+            (D * top[n + c] - sum(top[j] * Y[j][c] for j in range(i + 1, n))) // top[i]
             for c in range(k)
-        )
-    return tuple(X)
+        ]
+    return tuple(tuple(Fraction(y, D) for y in row) for row in Y)

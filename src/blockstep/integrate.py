@@ -170,7 +170,7 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
         raise ValueError("n_sub must be >= 1")
     times = _row_times(scheme.float_tables[2], 0, dt)
     if prob.exact is not None:
-        values = prob.exact(times).T.copy()  # C order, (s, dim)
+        values = _closed_form(prob, times).T.copy()  # C order, (s, dim)
     else:
         times = times.tolist()  # Python floats: cheap scalar RK4 arithmetic
         values = _rk4_sweep(prob, times[0], (scheme.s - 1) * n_sub, times)

@@ -3,11 +3,16 @@ import re
 import sys
 import time
 from fractions import Fraction as F
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockstep.exact import (
     as_matrix,
+    dot,
     matvec,
     parse_rat,
     rank,
@@ -207,3 +212,88 @@ def test_solve_linear_roundtrip_property():
         R = tuple(zip(*(matvec(M, column) for column in zip(*X))))
         assert solve_linear(M, R) == X
         done += 1
+
+
+# ----- dot, matvec and solve_linear against a naive Fraction oracle --------
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# Rationals with denominators up to 10^30, plain ints, and zero.
+entries = st.one_of(
+    st.fractions(max_denominator=10**30),
+    st.integers(-(10**12), 10**12),
+    st.just(0),
+)
+
+
+def oracle_dot(u, v):
+    """Sum of Fraction products, one normalised Fraction per term and partial sum."""
+    return sum((F(x) * F(y) for x, y in zip(u, v)), F(0))
+
+
+def oracle_det(M):
+    # Leibniz formula: no elimination, no pivots.
+    n = len(M)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((F(M[i][perm[i]]) for i in range(n)), start=F(1))
+    return total
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(0, 6))
+    return tuple(draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+
+
+@SETTINGS
+@given(vector_pairs())
+def test_dot_equals_the_naive_fraction_sum(uv):
+    u, v = uv
+    got, want = dot(u, v), oracle_dot(u, v)
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_dot_rejects_vectors_of_unequal_length():
+    with pytest.raises(ValueError):
+        dot((F(1), F(2)), (F(3),))
+
+
+@SETTINGS
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4),
+    st.lists(entries, min_size=n, max_size=n),
+)))
+def test_matvec_equals_the_naive_fraction_sums(Mv):
+    M, v = Mv
+    assert matvec(M, v) == tuple(oracle_dot(row, v) for row in M)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    M = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    R = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(n)]
+    return M, R
+
+
+@SETTINGS
+@given(square_systems())
+# Bareiss pivots -3, then -7.
+@example(([[-3, 1], [1, 2]], [[F(1, 3), 0], [-5, F(2, 10**30 + 1)]]))
+# A row swap first, then Bareiss pivots -1, 2 and 9.
+@example(([[0, -2, 1], [-1, 0, 3], [2, 5, -4]], [[1], [F(-7, 10**29)], [0]]))
+def test_solve_linear_solutions_satisfy_the_system(MR):
+    M, R = MR
+    M, R = as_matrix(M), as_matrix(R)
+    if oracle_det(M) == 0:
+        with pytest.raises(ValueError, match="singular system"):
+            solve_linear(M, R)
+        return
+    X = solve_linear(M, R)
+    for c in range(len(R[0])):
+        column = [X[j][c] for j in range(len(M))]
+        assert [oracle_dot(row, column) for row in M] == [R[i][c] for i in range(len(M))]

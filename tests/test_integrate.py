@@ -767,6 +767,18 @@ def test_lte_names_the_first_time_the_exact_solution_is_not_finite():
             measure_lte(builtin("S2"), prob, 1 / 8, 1.0)
 
 
+def test_bootstrap_names_a_start_row_where_the_exact_solution_is_not_finite():
+    # u = 1/(1/16 - t) has its pole at S2's first start row, c_in[0] dt = 1/16.
+    prob = make_problem(
+        "pole", lambda t, u: u * u, lambda t: np.array([1.0 / (1 / 16 - t)]), [16.0]
+    )
+    with np.errstate(divide="ignore"):
+        for run in (lambda: bootstrap(builtin("S2"), prob, 1 / 8),
+                    lambda: integrate(builtin("S2"), prob, 1 / 8, 1)):
+            with pytest.raises(ValueError, match=r"non-finite exact solution at t = 0\.0625$"):
+                run()
+
+
 def test_lte_is_negligible_for_constants():
     worst = measure_lte(builtin("S2"), _constant_problem(), F(1, 8), 1.0)
     assert np.max(worst) < 1e-13
