@@ -29,6 +29,11 @@ Under C1-C2 every row of A equals the same vector a^T, so
 A d_{q+1} = (a^T d_{q+1}) 1 and C4 is exactly the leading-order annihilation
 statement.  Global error then converges one order beyond q.
 
+A Scheme is immutable, so each exact result is computed once per scheme: the
+d_p and the truncation order are kept in the scheme's own memo,
+Scheme.exact_memo, and residual_vector, residual_table, truncation_order and
+verify_conditions (through truncation_order) read them from there.
+
 Linear stability: rho(A + z B) is the largest eigenvalue modulus of the
 double-precision Q(z), from numpy's LAPACK eigvals, for any block size s.
 """
@@ -55,15 +60,21 @@ def residual_vector(scheme: Scheme, p: int) -> ExactVector:
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
+    memo = scheme.exact_memo
+    if p in memo:
+        return memo[p]
     if p == 0:
-        return tuple(1 - x for x in matvec(scheme.A, (1,) * scheme.s))
-    # Row i of p! d_p is c_out_i^p - A_i . c_in^p - p B_i . c_in^(p-1): one dot.
-    u = tuple(-(c**p) for c in scheme.c_in) + tuple(-p * c ** (p - 1) for c in scheme.c_in)
-    fp = factorial(p)
-    return tuple(
-        (c**p + dot(A_i + B_i, u)) / fp
-        for c, A_i, B_i in zip(scheme.c_out, scheme.A, scheme.B)
-    )
+        d = tuple(1 - x for x in matvec(scheme.A, (1,) * scheme.s))
+    else:
+        # Row i of p! d_p is c_out_i^p - A_i . c_in^p - p B_i . c_in^(p-1): one dot.
+        u = tuple(-(c**p) for c in scheme.c_in) + tuple(-p * c ** (p - 1) for c in scheme.c_in)
+        fp = factorial(p)
+        d = tuple(
+            (c**p + dot(A_i + B_i, u)) / fp
+            for c, A_i, B_i in zip(scheme.c_out, scheme.A, scheme.B)
+        )
+    memo[p] = d
+    return d
 
 
 def residual_table(scheme: Scheme, p_max: int) -> dict[int, ExactVector]:
@@ -83,10 +94,14 @@ def truncation_order(scheme: Scheme) -> TruncationOrder:
 
     The walk over p = 1, 2, ... stops by p = 2s (see the module docstring).
     """
-    for p in count(1):
-        leading = residual_vector(scheme, p)
-        if any(leading):
-            return TruncationOrder(p - 1, leading)
+    memo = scheme.exact_memo
+    if "order" not in memo:
+        for p in count(1):
+            leading = residual_vector(scheme, p)
+            if any(leading):
+                memo["order"] = TruncationOrder(p - 1, leading)
+                break
+    return memo["order"]
 
 
 @dataclass(frozen=True)

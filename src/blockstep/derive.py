@@ -13,16 +13,27 @@ of d_{s+1} is kappa_i + lambda(a) with lambda linear and the same for all
 rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  So the
 constraint is w . a on the hyperplane, with w_k its value at the unit vector
 e_k, and each search root is one exact linear solve on that row.
+
+The row w comes from one elimination of the Vandermonde matrix V(c_in).
+Under a = e_k only row k of d_{s+1} enters the constraint, and row k of B
+solves the system above with the unit-vector moments a^T c_in^p = c_in[k]^p,
+so one solve with those s right-hand-side columns gives every such row:
+
+    w_k = (c_out[k]^(s+1) - c_in[k]^(s+1) - (s+1) b_k . c_in^s) / (s+1)! .
+
+eis_constraint(a) evaluates a^T d_{s+1} on the assembled scheme of a,
+apart from this row; the searches do not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import analysis
 from .exact import ExactMatrix, ExactVector, as_vector, dot, solve_linear
-from .scheme import Scheme, make_scheme
+from .scheme import Scheme, check_abscissae, make_scheme
 
 S3_C_IN = (Fraction(2, 3), Fraction(1, 3), Fraction(0))
 
@@ -41,17 +52,28 @@ def _normalize(a, c_in, c_out):
     return a, c_in, c_out
 
 
+def _order_system(c_in, c_out, moments):
+    """The conditions d_p = 0, p = 1..s, on every row of B as one system V X = R.
+
+    Row p - 1 of V is c_in^(p-1).  Column i of R holds the right-hand sides
+    (c_out[i]^p - m_i) / p of row b_i, where m = moments(c_in^p) is the
+    vector of the A_i . c_in^p.
+    """
+    s = len(c_in)
+    powers = [tuple(c**p for c in c_in) for p in range(s + 1)]
+    R = tuple(
+        tuple((c**p - m) / p for c, m in zip(c_out, moments(powers[p])))
+        for p in range(1, s + 1)
+    )
+    return tuple(powers[:s]), R
+
+
 def solve_B(a, c_in, c_out=None) -> ExactMatrix:
     """The unique B with d_p = 0 for p = 1..s, given A = 1 a^T."""
     a, c_in, c_out = _normalize(a, c_in, c_out)
-    s = len(a)
-    V = tuple(tuple(c ** (p - 1) for c in c_in) for p in range(1, s + 1))
-    # Column i of R is the system for row b_i; a^T c_in^p is shared by all.
-    R = []
-    for p in range(1, s + 1):
-        m = dot(a, [c**p for c in c_in])
-        R.append(tuple((c_out[i] ** p - m) / p for i in range(s)))
-    return tuple(zip(*solve_linear(V, tuple(R))))
+    # Every row of A is a, so a^T c_in^p is shared by all rows.
+    V, R = _order_system(c_in, c_out, lambda cp: (dot(a, cp),) * len(a))
+    return tuple(zip(*solve_linear(V, R)))
 
 
 def assemble(a, c_in, c_out=None, name: str = "derived") -> Scheme:
@@ -106,9 +128,19 @@ class SearchRoot:
 
 
 def _eis_row(s: int, c_in, c_out):
-    """Yield w_k = eis_constraint(e_k), k < s, so eis_constraint(a) = w . a."""
-    for k in range(s):
-        yield eis_constraint(tuple(int(i == k) for i in range(s)), c_in, c_out)
+    """Yield w_k = eis_constraint(e_k), k < s, so eis_constraint(a) = w . a.
+
+    One solve of the order conditions under the moments c_in[k]^p gives every
+    row b_k of B under a = e_k (see the module docstring).  The inputs are
+    checked as assemble and Scheme check them.
+    """
+    _, c_in, c_out = _normalize((1,) + (0,) * (s - 1), c_in, c_out)
+    check_abscissae(c_in, c_out)
+    X = solve_linear(*_order_system(c_in, c_out, lambda cp: cp))
+    n = s + 1
+    top = tuple(c**s for c in c_in)
+    for k, b_k in enumerate(zip(*X)):
+        yield (c_out[k] ** n - c_in[k] ** n - n * dot(b_k, top)) / factorial(n)
 
 
 def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:

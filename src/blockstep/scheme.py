@@ -8,7 +8,8 @@ A scheme advances a block of s solution values sitting at staggered offsets
 with s x s coefficient matrices A and B held exactly as rationals.  Input
 abscissae c_in and output abscissae c_out are stored explicitly, in units of
 the block step dt, largest first; the last input abscissa is always 0 (the
-base time itself).  All float code reads a scheme through Scheme.float_tables.
+base time itself).  All float code reads a scheme through Scheme.float_tables;
+blockstep.analysis keeps what it computes exactly in Scheme.exact_memo.
 """
 
 from __future__ import annotations
@@ -47,14 +48,7 @@ class Scheme:
         for label, M in (("A", self.A), ("B", self.B)):
             if len(M) != s or any(len(row) != s for row in M):
                 raise ValueError(f"{label} not square of size s")
-        if any(self.c_in[i] <= self.c_in[i + 1] for i in range(s - 1)):
-            raise ValueError("abscissae not descending (c_in)")
-        if any(self.c_out[i] <= self.c_out[i + 1] for i in range(s - 1)):
-            raise ValueError("abscissae not descending (c_out)")
-        if self.c_in[s - 1] != 0:
-            raise ValueError("last input abscissa must be 0")
-        if any(self.c_out[i] <= self.c_in[i] for i in range(s)):
-            raise ValueError("output abscissae must exceed input abscissae")
+        check_abscissae(self.c_in, self.c_out)
 
     @cached_property
     def float_tables(self):
@@ -73,6 +67,28 @@ class Scheme:
         for arr in (A, B, c_in, c_out):
             arr.setflags(write=False)
         return A, B, c_in, c_out
+
+    @cached_property
+    def exact_memo(self) -> dict:
+        """This scheme's exact analysis, filled by blockstep.analysis as it is
+        computed: the residual vector d_p under the key p, any other term
+        under its name ("order").  Like float_tables it is per instance, so
+        no Fraction is hashed and equality, hashing and save/load ignore it."""
+        return {}
+
+
+def check_abscissae(c_in, c_out) -> None:
+    """Raise ValueError unless c_in and c_out (of equal length s) descend,
+    c_in ends at 0, and each output abscissa exceeds its input one."""
+    s = len(c_in)
+    if any(c_in[i] <= c_in[i + 1] for i in range(s - 1)):
+        raise ValueError("abscissae not descending (c_in)")
+    if any(c_out[i] <= c_out[i + 1] for i in range(s - 1)):
+        raise ValueError("abscissae not descending (c_out)")
+    if c_in[s - 1] != 0:
+        raise ValueError("last input abscissa must be 0")
+    if any(c_out[i] <= c_in[i] for i in range(s)):
+        raise ValueError("output abscissae must exceed input abscissae")
 
 
 def make_scheme(name, c_in, c_out, A, B) -> Scheme:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ from blockstep.analysis import (
     verify_conditions,
 )
 from blockstep.derive import assemble
-from blockstep.scheme import BUILTIN_NAMES, builtin, make_scheme
+from blockstep.scheme import BUILTIN_NAMES, builtin, load, make_scheme, save
 
 from _oracle_util import (
     random_scheme,
@@ -301,3 +302,72 @@ def test_stability_scans_block_size_four():
     assert re_vals[2] == im_vals[2] == 0.0
     assert abs(rho[2, 2] - 1.0) <= 1e-12
     assert np.isfinite(rho).all()
+
+
+# ----- the per-scheme memo ---------------------------------------------------
+
+
+def _fresh(sch):
+    # A new Scheme with the same fields and an empty memo.
+    return make_scheme(sch.name, sch.c_in, sch.c_out, sch.A, sch.B)
+
+
+def _memo_cases():
+    rng = random.Random(22)
+    yield from (builtin(name) for name in BUILTIN_NAMES)
+    yield _s4_scheme()
+    yield from (random_scheme(rng, s) for s in (2, 3, 3))
+
+
+@pytest.mark.parametrize("table_first", [False, True], ids=["order-first", "table-first"])
+def test_a_filled_memo_answers_as_a_fresh_scheme_does(table_first):
+    # Filled in either order (the table reaching past d_{q+1}, or the order
+    # walk stopping there), every reader agrees with a scheme computed anew.
+    for sch in _memo_cases():
+        p_max = 2 * sch.s + 1
+        if table_first:
+            residual_table(sch, p_max)
+        truncation_order(sch)
+        for p in range(p_max + 1):
+            assert residual_vector(sch, p) == residual_vector(_fresh(sch), p)
+        assert residual_table(sch, p_max) == residual_table(_fresh(sch), p_max)
+        assert truncation_order(sch) == truncation_order(_fresh(sch))
+        assert verify_conditions(sch) == verify_conditions(_fresh(sch))
+
+
+def test_a_replaced_twin_starts_its_own_memo():
+    sch = builtin("S3A")
+    assert truncation_order(sch).q == 3
+    residual_table(sch, 7)
+    B = [list(row) for row in sch.B]
+    B[2][0] += F(1, 7)
+    twin = dataclasses.replace(sch, B=tuple(map(tuple, B)))
+    assert twin.exact_memo == {} and twin.exact_memo is not sch.exact_memo
+    # d_1 gains -B 1 in row 2: the twin drops to q = 0 with that row as leading.
+    assert truncation_order(twin) == truncation_order(_fresh(twin))
+    assert truncation_order(twin) == (0, (F(0), F(0), F(-1, 7)))
+    assert residual_table(twin, 7) == residual_table(_fresh(twin), 7)
+    assert residual_table(twin, 7) != residual_table(sch, 7)
+    assert verify_conditions(twin).leading == (F(0), F(0), F(-1, 7))
+    assert truncation_order(sch).q == 3
+
+
+def test_a_negative_order_raises_with_a_filled_memo():
+    sch = builtin("S2")
+    residual_table(sch, 5)
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        residual_vector(sch, -1)
+    assert -1 not in sch.exact_memo
+
+
+def test_the_memo_leaves_equality_and_roundtrip_alone(tmp_path):
+    sch = builtin("S3A")
+    assert verify_conditions(sch).all_pass  # fills the memo first
+    assert sch.exact_memo
+    assert sch == _fresh(sch) and hash(sch) == hash(_fresh(sch))
+    path = tmp_path / "S3A.json"
+    save(sch, path)
+    back = load(path)
+    assert back == sch and hash(back) == hash(sch)
+    assert back.exact_memo == {}
+    assert truncation_order(back) == truncation_order(sch)

@@ -83,13 +83,16 @@ def test_traced_study_is_one_march_and_no_step():
     assert len(report.global_err) == len(harness.STANDARD_DTS)
 
 
-def test_traced_searches_evaluate_the_constraint_once_per_component():
-    # derive.eis_constraint.calls per search is the constraint's row: s
-    # evaluations, one per unit vector, and none for the root itself.
+def test_traced_searches_eliminate_once_and_never_call_the_constraint():
+    # A search gets the constraint's whole row from one elimination of the
+    # Vandermonde matrix: one exact.solve_linear span, and no
+    # derive.eis_constraint call for the row or for the root.
     spans = _load("spans")
-    for search, s in ((lambda: derive.search_s2((1, 0)), 2),
-                      (lambda: derive.search_s3_slice(0, Fraction(467, 768), (-3, 3)), 3)):
+    for search in (lambda: derive.search_s2((1, 0)),
+                   lambda: derive.search_s3_slice(0, Fraction(467, 768), (-3, 3))):
         tracer = spans.Tracer()
         with tracer.patched():
             assert len(search()) == 1
-        assert tracer.counts["derive.eis_constraint"] == s
+        assert tracer.counts["derive.eis_constraint"] == 0
+        names = [r[spans.NAME] for r in tracer.spans]
+        assert names.count("exact.solve_linear") == 1

@@ -23,14 +23,14 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 
 
 @st.composite
-def members(draw, sizes=(2, 3, 4)):
+def members(draw, sizes=(2, 3, 4), shifted=st.booleans()):
     """(c_in, c_out, a): descending c_in ending at 0, descending c_out ahead
-    of it (c_in + shift, or with gaps of its own), and a on the hyperplane
-    a^T 1 = 1."""
+    of it (c_in + shift when `shifted` draws True, else with gaps of its
+    own), and a on the hyperplane a^T 1 = 1."""
     s = draw(st.sampled_from(sizes))
     gaps = draw(st.lists(positive, min_size=s - 1, max_size=s - 1))
     c_in = tuple(sum(gaps[k:], F(0)) for k in range(s))
-    if draw(st.booleans()):
+    if draw(shifted):
         shift = draw(positive)
         c_out = tuple(c + shift for c in c_in)
     else:
@@ -89,6 +89,20 @@ def _slice_probe_roots(c_in, c_out, t_range, fixed=None):
 def test_eis_constraint_is_linear_on_the_hyperplane(member):
     c_in, c_out, a = member
     assert eis_constraint(a, c_in, c_out) == _dot(_eis_row(len(a), c_in, c_out), a)
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted-c_out", "own-gaps-c_out"])
+@SETTINGS
+@given(data=st.data())
+def test_one_elimination_row_is_the_constraint_at_the_unit_vectors(shifted, data):
+    # eis_constraint assembles each scheme and reads a^T d_{s+1} off its
+    # residual vector, so it checks the row's one-solve formula independently.
+    c_in, c_out, a = data.draw(members(sizes=(2, 3, 4, 5), shifted=st.just(shifted)))
+    s = len(a)
+    w = list(_eis_row(s, c_in, c_out))
+    assert w == [eis_constraint(tuple(int(i == k) for i in range(s)), c_in, c_out)
+                 for k in range(s)]
+    assert eis_constraint(a, c_in, c_out) == _dot(w, a)
 
 
 @SETTINGS
