@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__, analysis, derive, harness
 from . import scheme as sch
 from .exact import parse_rat, rat_str, to_double
-from .integrate import _row_times, integrate as run_integration
+from .integrate import _closed_form, _row_times, integrate as run_integration
 from .integrate import problem as load_problem
 
 
@@ -156,18 +156,8 @@ def cmd_truncation(args) -> int:
     return 0
 
 
-def _abscissae(args, n_components: int):
-    c_in = args.cin
-    if c_in is None:
-        s = n_components
-        c_in = [Fraction(s - 1 - j, s) for j in range(s)]
-    return c_in, args.cout
-
-
 def cmd_derive(args) -> int:
-    a = args.a
-    c_in, c_out = _abscissae(args, len(a))
-    scheme = derive.assemble(a, c_in, c_out)
+    scheme = derive.assemble(args.a, args.cin, args.cout)
     rep = analysis.verify_conditions(scheme)
     print(f"a = {_vec_str(scheme.A[0])}")
     print(f"c_in = {_vec_str(scheme.c_in)}, c_out = {_vec_str(scheme.c_out)}")
@@ -183,17 +173,15 @@ def cmd_derive(args) -> int:
 def cmd_search(args) -> int:
     lo, hi = args.range
     if args.fix is None:
-        c_in, c_out = _abscissae(args, 2)
-        roots = derive.search_s2(c_in, c_out, (lo, hi))
+        roots = derive.search_s2(args.cin, args.cout, (lo, hi))
     else:
-        c_in, c_out = _abscissae(args, 3)
-        roots = derive.search_s3_slice(*args.fix, (lo, hi), c_in, c_out)
+        roots = derive.search_s3_slice(*args.fix, (lo, hi), args.cin, args.cout)
     if not roots:
         print("no roots in range")
         return 0
     for i, root in enumerate(roots):
-        name = f"candidate_s{len(c_in)}_{i}"
-        scheme = derive.assemble(root.a, c_in, c_out, name=name)
+        name = f"candidate_s{len(root.a)}_{i}"
+        scheme = derive.assemble(root.a, args.cin, args.cout, name=name)
         rep = analysis.verify_conditions(scheme)
         print(
             f"root {i}: param={rat_str(root.param)} "
@@ -220,7 +208,8 @@ def cmd_integrate(args) -> int:
         print(f"wrote {args.out}")
     n = len(blocks) - 1
     if prob.exact is not None:
-        errs = abs(blocks[-1] - prob.exact(_row_times(scheme.float_tables[2], n, dt)).T).max(axis=1)
+        exact = _closed_form(prob, _row_times(scheme.float_tables[2], n, dt))
+        errs = abs(blocks[-1] - exact.T).max(axis=1)
     print(f"final base time t={n * dt:.17g} after {n} steps of dt={dt:.17g}")
     for j, row in enumerate(blocks[-1]):
         vals = ", ".join(format(v, ".17g") for v in row)

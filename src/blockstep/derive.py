@@ -33,23 +33,27 @@ from math import factorial
 
 from . import analysis
 from .exact import ExactMatrix, ExactVector, as_vector, dot, solve_linear
-from .scheme import Scheme, check_abscissae, make_scheme
-
-S3_C_IN = (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+from .scheme import Scheme, check_abscissae
 
 
-def _normalize(a, c_in, c_out):
-    a = as_vector(a)
-    c_in = as_vector(c_in)
+def _abscissae(s: int, c_in, c_out):
+    """The checked abscissae of an s-stage design, as Fraction tuples.
+
+    Every entry point takes its abscissae through here.  c_in defaults to
+    the evenly spaced ((s-1)/s, ..., 1/s, 0) and c_out to c_in + 1.  Both
+    must have length s, c_in no repeated entry (its moment matrix would be
+    singular), and both must pass check_abscissae as a Scheme's do.
+    """
+    c_in = tuple(Fraction(s - 1 - j, s) for j in range(s)) if c_in is None else as_vector(c_in)
     c_out = tuple(c + 1 for c in c_in) if c_out is None else as_vector(c_out)
-    s = len(c_in)
-    if len(a) != s or len(c_out) != s:
+    if len(c_in) != s:
         raise ValueError("dimension mismatch: a, c_in, c_out must share length")
+    if len(c_out) != s:
+        raise ValueError(f"abscissae must have length s={s}")
     if len(set(c_in)) != s:
         raise ValueError("singular moment matrix")
-    if sum(a) != 1:
-        raise ValueError("row sum violation")
-    return a, c_in, c_out
+    check_abscissae(c_in, c_out)
+    return c_in, c_out
 
 
 def _order_system(c_in, c_out, moments):
@@ -68,22 +72,24 @@ def _order_system(c_in, c_out, moments):
     return tuple(powers[:s]), R
 
 
-def solve_B(a, c_in, c_out=None) -> ExactMatrix:
-    """The unique B with d_p = 0 for p = 1..s, given A = 1 a^T."""
-    a, c_in, c_out = _normalize(a, c_in, c_out)
+def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
+    """Scheme with A = 1 a^T and the unique B with d_p = 0 for p = 1..s."""
+    a = as_vector(a)
+    s = len(a)
+    c_in, c_out = _abscissae(s, c_in, c_out)
+    if sum(a) != 1:
+        raise ValueError("row sum violation")
     # Every row of A is a, so a^T c_in^p is shared by all rows.
-    V, R = _order_system(c_in, c_out, lambda cp: (dot(a, cp),) * len(a))
-    return tuple(zip(*solve_linear(V, R)))
+    V, R = _order_system(c_in, c_out, lambda cp: (dot(a, cp),) * s)
+    return Scheme(name, c_in, c_out, (a,) * s, tuple(zip(*solve_linear(V, R))))
 
 
-def assemble(a, c_in, c_out=None, name: str = "derived") -> Scheme:
-    """Scheme with A = 1 a^T and B from solve_B."""
-    a, c_in, c_out = _normalize(a, c_in, c_out)
-    B = solve_B(a, c_in, c_out)
-    return make_scheme(name, c_in, c_out, [a] * len(a), B)
+def solve_B(a, c_in=None, c_out=None) -> ExactMatrix:
+    """The B of assemble(a, c_in, c_out)."""
+    return assemble(a, c_in, c_out).B
 
 
-def eis_constraint(a, c_in, c_out=None) -> Fraction:
+def eis_constraint(a, c_in=None, c_out=None) -> Fraction:
     """The scalar a^T d_{s+1} for the scheme assembled from a."""
     sch = assemble(a, c_in, c_out)
     d = analysis.residual_vector(sch, sch.s + 1)
@@ -98,7 +104,7 @@ class DerivationResult:
     eis_residual: Fraction
 
 
-def derive_scheme(a, c_in, c_out=None) -> DerivationResult:
+def derive_scheme(a, c_in=None, c_out=None) -> DerivationResult:
     """Solve for B and classify the assembled scheme.
 
     achieved_order re-detects the truncation order rather than assuming s;
@@ -132,10 +138,9 @@ def _eis_row(s: int, c_in, c_out):
 
     One solve of the order conditions under the moments c_in[k]^p gives every
     row b_k of B under a = e_k (see the module docstring).  The inputs are
-    checked as assemble and Scheme check them.
+    checked as assemble checks them.
     """
-    _, c_in, c_out = _normalize((1,) + (0,) * (s - 1), c_in, c_out)
-    check_abscissae(c_in, c_out)
+    c_in, c_out = _abscissae(s, c_in, c_out)
     X = solve_linear(*_order_system(c_in, c_out, lambda cp: cp))
     n = s + 1
     top = tuple(c**s for c in c_in)
@@ -168,7 +173,7 @@ def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:
     return [SearchRoot(param=t, a=tuple(a), exact=True)]
 
 
-def search_s2(c_in, c_out=None, a1_range=(-2, 2)) -> list[SearchRoot]:
+def search_s2(c_in=None, c_out=None, a1_range=(-2, 2)) -> list[SearchRoot]:
     """Roots of a1 -> eis_constraint((a1, 1 - a1)) within a1_range."""
     return _pinned_root(_eis_row(2, c_in, c_out), {}, a1_range)
 
@@ -177,7 +182,7 @@ def search_s3_slice(
     fixed_index: int,
     fixed_value,
     t_range=(-2, 2),
-    c_in=S3_C_IN,
+    c_in=None,
     c_out=None,
 ) -> list[SearchRoot]:
     """Roots along a 1-D slice of the two-parameter s=3 family.
@@ -186,8 +191,7 @@ def search_s3_slice(
     components the lower-indexed one is the slice parameter t and the other
     takes 1 - fixed_value - t, keeping a^T 1 = 1.
     """
-    c_in = as_vector(c_in)
-    if len(c_in) != 3:
+    if c_in is not None and len(c_in) != 3:
         raise ValueError("s=3 slice search requires three abscissae")
     if fixed_index not in (0, 1, 2):
         raise ValueError("fixed_index must be 0, 1, or 2")

@@ -6,7 +6,6 @@ import pytest
 
 from blockstep.analysis import residual_table, residual_vector, verify_conditions
 from blockstep.derive import (
-    S3_C_IN,
     SearchRoot,
     _pinned_root,
     assemble,
@@ -16,9 +15,10 @@ from blockstep.derive import (
     search_s3_slice,
     solve_B,
 )
-from blockstep.scheme import builtin
+from blockstep.scheme import builtin, make_scheme
 
 S2_C_IN = (F(1, 2), F(0))
+S3_C_IN = (F(2, 3), F(1, 3), F(0))
 
 
 def test_solve_B_reproduces_the_two_step_tables():
@@ -152,6 +152,71 @@ def test_search_s3_slice_validates_inputs():
         search_s3_slice(3, F(1, 2))
     with pytest.raises(ValueError, match="three abscissae"):
         search_s3_slice(0, F(1, 2), c_in=(F(1, 2), F(0)))
+
+
+# ----- one default and one check of the abscissae for every entry point -----
+
+
+def _evenly_spaced(s):
+    return tuple(F(s - 1 - j, s) for j in range(s))
+
+
+# Each entry point at its block size s, as a function of (c_in, c_out).
+ENTRY_POINTS = {
+    "assemble": (3, lambda c_in, c_out: assemble((1, 0, 0), c_in, c_out)),
+    "solve_B": (3, lambda c_in, c_out: solve_B((1, 0, 0), c_in, c_out)),
+    "eis_constraint": (3, lambda c_in, c_out: eis_constraint((1, 0, 0), c_in, c_out)),
+    "derive_scheme": (3, lambda c_in, c_out: derive_scheme((1, 0, 0), c_in, c_out)),
+    "search_s2": (2, lambda c_in, c_out: search_s2(c_in, c_out)),
+    "search_s3_slice": (3, lambda c_in, c_out: search_s3_slice(0, F(1, 3), (-2, 2), c_in, c_out)),
+}
+
+# Malformed (c_in, c_out) built from the evenly spaced c of size s.
+MALFORMED = {
+    "ascending-c_in": lambda c: (c[::-1], tuple(x + 1 for x in c)),
+    "ascending-c_out": lambda c: (c, tuple(x + 1 for x in c[::-1])),
+    "c_in-not-ending-at-0": lambda c: (tuple(x + F(1, 2) for x in c), tuple(x + 2 for x in c)),
+    "c_out-not-above-c_in": lambda c: (c, c),
+    "repeated-c_out": lambda c: (c, (2,) * len(c)),
+    "length-mismatch": lambda c: (c, tuple(x + 1 for x in c)[1:]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_abscissae_as_a_scheme_does(entry, case):
+    s, call = ENTRY_POINTS[entry]
+    c_in, c_out = MALFORMED[case](_evenly_spaced(s))
+    zeros = [[0] * s] * s
+    with pytest.raises(ValueError) as expected:
+        make_scheme("malformed", c_in, c_out, zeros, zeros)
+    with pytest.raises(ValueError) as raised:
+        call(c_in, c_out)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_repeated_input_abscissa_is_named_a_singular_moment_matrix(entry):
+    # A Scheme calls this c_in not descending; the derivation names the
+    # system it cannot solve, before any other check of the abscissae.
+    s, call = ENTRY_POINTS[entry]
+    c_in = (F(1, 2), F(1, 2)) + (F(0),) * (s - 2)
+    with pytest.raises(ValueError, match="^singular moment matrix$"):
+        call(c_in, None)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_omitted_input_abscissae_are_evenly_spaced(s):
+    a = tuple(F(k + 1, s * (s + 1) // 2) for k in range(s))
+    c_in = _evenly_spaced(s)
+    assert assemble(a) == assemble(a, c_in)
+    assert solve_B(a) == solve_B(a, c_in)
+    assert eis_constraint(a) == eis_constraint(a, c_in)
+    assert derive_scheme(a) == derive_scheme(a, c_in)
+    if s == 2:
+        assert search_s2() == search_s2(c_in)
+    if s == 3:
+        assert search_s3_slice(0, F(1, 3)) == search_s3_slice(0, F(1, 3), c_in=c_in)
 
 
 # ----- the root solve on synthetic constraint rows -------------------------
