@@ -47,7 +47,7 @@ def _abscissae(s: int, c_in, c_out):
     c_in = tuple(Fraction(s - 1 - j, s) for j in range(s)) if c_in is None else as_vector(c_in)
     c_out = tuple(c + 1 for c in c_in) if c_out is None else as_vector(c_out)
     if len(c_in) != s:
-        raise ValueError("dimension mismatch: a, c_in, c_out must share length")
+        raise ValueError(f"dimension mismatch: c_in has {len(c_in)} entries, need s = {s}")
     if len(c_out) != s:
         raise ValueError(f"abscissae must have length s={s}")
     if len(set(c_in)) != s:

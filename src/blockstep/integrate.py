@@ -11,12 +11,14 @@ rendered to double once per scheme, so runs are bitwise reproducible.
 
 One kernel, _advance, makes that step, with both finiteness checks, for one
 block (step) or for a stack of blocks (march), at the row times n dt + c_j dt
-that _row_times alone computes.  march is the one stepping loop: it runs a dt
-ladder in lockstep, one rhs call and one combine per time level, and keeps
-every block of every run, bit for bit those of separate runs; integrate is
-march on one lane.  _grid decides each run's step count, at most 2^53, on dt
-and T exactly as given (dt = 1/3 reaches T = 5/3), and exact.to_double
-renders each value to double once, naming a value that leaves double range.
+that _row_times alone computes, and builds the combine in place in one result
+array.  march is the one stepping loop: it runs a dt ladder in lockstep, one
+rhs call and one combine per time level, takes the row times of every lane
+for _CHUNK levels at a time from one _row_times call, and keeps every block
+of every run, bit for bit those of separate runs; integrate is march on one
+lane.  _grid decides each run's step count, at most 2^53, on dt and T exactly
+as given (dt = 1/3 reaches T = 5/3), and exact.to_double renders each value
+to double once, naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and measurement of the local
@@ -121,20 +123,24 @@ def _row_times(c, n, dt):
     return n * dt + c * dt
 
 
-def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt) -> np.ndarray:
-    """The block step A V + dt B F(V) for blocks n, in one rhs call at their _row_times.
+def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt, times) -> np.ndarray:
+    """The block step A V + dt B F(V) for blocks n, in one rhs call at their row times.
 
     V is one block (s, dim) with step dt, or a stack of lanes (L, s, dim)
-    with dt of shape (L, 1, 1).
+    with dt of shape (L, 1, 1); times holds the row times of every row of
+    every lane, lane-major, as _row_times gives them.  The combine is made
+    in place: dt B F is scaled, then A V added, in the one result array.
     """
-    A, B, c_in, _ = scheme.float_tables
+    A, B, _, _ = scheme.float_tables
     rows = V.reshape(-1, V.shape[-1]).T  # every row of every lane as a column
-    F = prob.rhs(_row_times(c_in, n, dt).ravel(), rows)
+    F = prob.rhs(times, rows)
     if F.shape != rows.shape:
         raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
     if np.count_nonzero(np.isfinite(F)) < F.size:  # cheaper per level than .all()
         raise ValueError(f"non-finite state at step {n + 1}")
-    values = np.matmul(A, V) + dt * np.matmul(B, F.T.reshape(V.shape))
+    values = np.matmul(B, F.T.reshape(V.shape))
+    values *= dt
+    values += np.matmul(A, V)
     if np.count_nonzero(np.isfinite(values)) < values.size:
         raise ValueError(f"non-finite state at step {n + 1}")
     return values
@@ -142,7 +148,9 @@ def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt) -> np.nda
 
 def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
     """Advance one block step of size dt."""
-    return BlockState(n=state.n + 1, values=_advance(scheme, prob, state.n, state.values, dt))
+    times = _row_times(scheme.float_tables[2], state.n, dt)
+    values = _advance(scheme, prob, state.n, state.values, dt, times)
+    return BlockState(n=state.n + 1, values=values)
 
 
 def _rk4_step(rhs, t, u, h):
@@ -218,6 +226,9 @@ def integrate(scheme: Scheme, prob: Problem, dt, T) -> np.ndarray:
     return march(scheme, prob, [dt], T, [bootstrap(scheme, prob, dt).values])[0]
 
 
+_CHUNK = 512  # time levels whose row times march computes in one _row_times call
+
+
 def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarray]:
     """Every block of stepping to T from the given starting rows, one (s, dim)
     array per dt, for every dt of a ladder, bit for bit, in the order of dts:
@@ -225,12 +236,14 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     n * dt_i.
 
     Time level k makes one rhs call and one combine (_advance) for the stack
-    of every run still short of T, each lane on its own row times.  Lanes are
-    kept in decreasing order of step count, so a run that reaches T leaves
-    from the end of the stack: max N levels of Python work, not sum N.  The
-    storage is lane-major, (L, max N + 1, s, dim): a run that leaves early
-    never touches the tail of its lane, so the memory touched is about sum N
-    blocks.
+    of every run still short of T, each lane on its own row times.  Those
+    times come from one _row_times call per _CHUNK levels, shape
+    (levels, L, s), so the extra memory is at most _CHUNK * L * s doubles
+    whatever N is.  Lanes are kept in decreasing order of step count, so a
+    run that reaches T leaves from the end of the stack: max N levels of
+    Python work, not sum N.  The storage is lane-major, (L, max N + 1, s,
+    dim): a run that leaves early never touches the tail of its lane, so the
+    memory touched is about sum N blocks.
     """
     _check_marches(scheme)
     grids = [_grid(dt, T) for dt in dts]
@@ -245,12 +258,16 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     blocks = np.empty((len(steps), max(steps, default=0) + 1, *need[1:]))
     blocks[:, 0] = V = V[order]
     lane_dt = np.array([grids[i][1] for i in order])[:, None, None]
-    live = len(steps)
-    for k in range(blocks.shape[1] - 1):
+    c_in, live, levels = scheme.float_tables[2], len(steps), blocks.shape[1] - 1
+    for k in range(levels):
         if steps[live - 1] == k:  # runs that reach T here leave the stack
             live = sum(n > k for n in steps)
             V, lane_dt = V[:live], lane_dt[:live]
-        blocks[:live, k + 1] = V = _advance(scheme, prob, k, V, lane_dt)
+        if k % _CHUNK == 0:  # row times of the next levels, every live lane
+            ks = np.arange(k, min(k + _CHUNK, levels))[:, None, None]
+            times = _row_times(c_in, ks, lane_dt[:, :, 0])
+        level_times = times[k % _CHUNK, :live].ravel()
+        blocks[:live, k + 1] = V = _advance(scheme, prob, k, V, lane_dt, level_times)
     return [blocks[lane, : n + 1] for (n, _), lane in zip(grids, np.argsort(order))]
 
 

@@ -157,7 +157,7 @@ def test_search_empty_range(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--cin=2/3,1/3,0"], "dimension mismatch: a, c_in, c_out must share length"),
+        (["--cin=2/3,1/3,0"], "dimension mismatch: c_in has 3 entries, need s = 2"),
         (["--fix", "0=1/2", "--cin=1,0"], "s=3 slice search requires three abscissae"),
         (["--fix", "3=1/2"], "fixed_index must be 0, 1, or 2"),
         (["--range=1:0"], "empty search range"),

@@ -344,6 +344,9 @@ LADDERS = [(STANDARD_DTS, T) for T in (1.0, 2.0, 4.0)] + [
     ((1 / 3, 1 / 5, 1 / 7, 1 / 10), 1.0),
     ((0.5, 0.25, 0.1, 0.04), 2.0),
     ((1 / 16, 1 / 4, 1 / 8, 1 / 4), 1.0),  # any order, repeats allowed
+    # 1200, 1024, 600 and 12 levels: the row times of two chunk boundaries
+    # (levels 512 and 1024), a lane leaving at one and two leaving mid-chunk.
+    ((1 / 300, 1 / 256, 1 / 150, 1 / 3), 4.0),
 ]
 
 
@@ -362,6 +365,24 @@ def test_march_equals_the_per_dt_loop(name):
             for dt, got, want in zip(dts, runs, _per_dt_runs(sch, prob, dts, T, starts)):
                 assert got.shape == (round(T / dt) + 1, sch.s, prob.dim), (sch_name, T, dt)
                 assert np.array_equal(got, want), (sch_name, T, dt)
+
+
+def test_march_computes_row_times_once_per_chunk_of_levels(monkeypatch):
+    # 1200 levels in chunks of 512 levels: three _row_times calls for the
+    # march, not one per level, each for every lane still live at its start.
+    calls, row_times = [], integrate_module._row_times
+
+    def counted(c, n, dt):
+        calls.append(np.broadcast(n, dt, c).shape)
+        return row_times(c, n, dt)
+
+    monkeypatch.setattr(integrate_module, "_row_times", counted)
+    sch, prob = builtin("S3A"), problem("P4")
+    dts, T = LADDERS[-1]
+    starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
+    calls.clear()
+    march(sch, prob, dts, T, starts)
+    assert calls == [(512, 4, 3), (512, 3, 3), (176, 1, 3)]  # the 1024-level lane left at 1024
 
 
 def test_march_keeps_each_run_in_one_contiguous_lane():
