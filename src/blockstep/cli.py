@@ -19,7 +19,7 @@ from . import __version__, analysis, derive, harness
 from . import scheme as sch
 from .exact import parse_rat, rat_str, to_double
 from .integrate import _closed_form, _row_times, integrate as run_integration
-from .integrate import problem as load_problem
+from .integrate import PROBLEM_NAMES, problem as load_problem
 
 
 def _rat(text: str) -> Fraction:
@@ -179,6 +179,8 @@ def cmd_search(args) -> int:
     if not roots:
         print("no roots in range")
         return 0
+    if args.out_dir and not os.path.isdir(args.out_dir):
+        os.mkdir(args.out_dir)  # its parent must exist, as every output path's must
     for i, root in enumerate(roots):
         name = f"candidate_s{len(root.a)}_{i}"
         scheme = derive.assemble(root.a, args.cin, args.cout, name=name)
@@ -318,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: the s=2 family)")
     q.add_argument("--cin", type=_rat_list)
     q.add_argument("--cout", type=_rat_list)
-    q.add_argument("--out-dir", help="write candidate scheme JSON files here")
+    q.add_argument("--out-dir", help="write candidate scheme JSON files here (made if missing)")
     q.set_defaults(func=cmd_search)
 
+    problems = "built-in problem: " + ", ".join(PROBLEM_NAMES)
     q = sub.add_parser("integrate", help="run a scheme on a problem")
     q.add_argument("--scheme", required=True)
-    q.add_argument("--problem", required=True, help="P1, P2, P3, or P4")
+    q.add_argument("--problem", required=True, help=problems)
     q.add_argument("--dt", type=_rat, required=True, help="step size, p/q or decimal")
     q.add_argument("--T", type=_rat, required=True, help="final time")
     q.add_argument("--out", help="write trajectory CSV (abscissa-0 row per block)")
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("converge", help="convergence study over a dt ladder")
     q.add_argument("--scheme", required=True)
-    q.add_argument("--problem", required=True)
+    q.add_argument("--problem", required=True, help=problems)
     q.add_argument("--dts", type=_rat_list, default=harness.STANDARD_DTS,
                    help="comma-separated step sizes (default 1/8,...,1/128)")
     q.add_argument("--T", type=_rat, default=Fraction(1))

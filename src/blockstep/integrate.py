@@ -1,7 +1,7 @@
 """Floating-point time stepping for block one-step schemes.
 
-A block state holds s solution rows, row j approximating u at
-t_n + c_in[j] * dt.  One step maps the block to
+A block is an (s, dim) array of s solution rows, row j of block n
+approximating u at n * dt + c_in[j] * dt.  One step maps the block to
 
     V_{n+1} = A V_n + dt * B * F(V_n)
 
@@ -17,7 +17,8 @@ rhs call and one combine per time level, takes the row times of every lane
 for _CHUNK levels at a time from one _row_times call, and keeps every block
 of every run, bit for bit those of separate runs; integrate is march on one
 lane.  _grid decides each run's step count, at most 2^53, on dt and T exactly
-as given (dt = 1/3 reaches T = 5/3), and exact.to_double renders each value
+as given (dt = 1/3 reaches T = 5/3), and is the one check of a step size
+(bootstrap and step ask it with T = 0); exact.to_double renders each value
 to double once, naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
@@ -112,12 +113,6 @@ def problem(name: str) -> Problem:
     return make_problem(name, *entry)
 
 
-@dataclass
-class BlockState:
-    n: int
-    values: np.ndarray  # shape (s, dim), row j at time n * dt + c_in[j] * dt
-
-
 def _row_times(c, n, dt):
     """Time of the row at abscissa c of block n, step dt, broadcast; the only such formula."""
     return n * dt + c * dt
@@ -146,11 +141,11 @@ def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt, times) ->
     return values
 
 
-def step(scheme: Scheme, prob: Problem, state: BlockState, dt: float) -> BlockState:
-    """Advance one block step of size dt."""
-    times = _row_times(scheme.float_tables[2], state.n, dt)
-    values = _advance(scheme, prob, state.n, state.values, dt, times)
-    return BlockState(n=state.n + 1, values=values)
+def step(scheme: Scheme, prob: Problem, V: np.ndarray, dt, n: int = 0) -> np.ndarray:
+    """Block n + 1 from block n, V, both (s, dim) arrays; dt, a float or an
+    exact Fraction, is checked by _grid as every run's is and used as its double."""
+    dt = _grid(dt, 0)[1]
+    return _advance(scheme, prob, n, V, dt, _row_times(scheme.float_tables[2], n, dt))
 
 
 def _rk4_step(rhs, t, u, h):
@@ -161,19 +156,18 @@ def _rk4_step(rhs, t, u, h):
     return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> BlockState:
-    """Starting block at t = 0.
+def bootstrap(scheme: Scheme, prob: Problem, dt, n_sub: int = 1000) -> np.ndarray:
+    """Block 0, a C-contiguous (s, dim) array of starting rows at t = 0.
 
     Rows come from the exact solution when the problem has one.  Otherwise
     one classical RK4 march of (s - 1) * n_sub steps from 0 to c_in[0] * dt
     fills them, each row read off it at c_in[j] * dt; for evenly spaced
     abscissae that is n_sub steps per abscissa interval.  The starter error
     stays far below any order visible at these step sizes.  Row s - 1 sits
-    at 0 and is u0 itself: a one-row scheme takes no RK4 step.
+    at 0 and is u0 itself: a one-row scheme takes no RK4 step.  dt may be a
+    float or an exact Fraction; _grid checks it, and the rows use its double.
     """
-    dt = to_double(dt, "dt")
-    if dt <= 0:
-        raise ValueError("non-positive step")
+    dt = _grid(dt, 0)[1]
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     times = _row_times(scheme.float_tables[2], 0, dt)
@@ -184,7 +178,7 @@ def bootstrap(scheme: Scheme, prob: Problem, dt: float, n_sub: int = 1000) -> Bl
         values = _rk4_sweep(prob, times[0], (scheme.s - 1) * n_sub, times)
     if not np.isfinite(values).all():
         raise ValueError("non-finite state at step 0")
-    return BlockState(n=0, values=values)
+    return values
 
 
 def _grid(dt, T) -> tuple[int, float]:
@@ -223,7 +217,7 @@ def integrate(scheme: Scheme, prob: Problem, dt, T) -> np.ndarray:
     them as given, and stepping uses dt's double.  The scheme must march."""
     _check_marches(scheme)
     _grid(dt, T)  # T is checked before the bootstrap works
-    return march(scheme, prob, [dt], T, [bootstrap(scheme, prob, dt).values])[0]
+    return march(scheme, prob, [dt], T, [bootstrap(scheme, prob, dt)])[0]
 
 
 _CHUNK = 512  # time levels whose row times march computes in one _row_times call

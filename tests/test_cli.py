@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -8,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from blockstep.cli import main
+from blockstep.integrate import PROBLEM_NAMES
 from blockstep.scheme import builtin, load, make_scheme, save
 from blockstep.analysis import verify_conditions
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -139,6 +144,41 @@ def test_search_s2_finds_the_known_root(tmp_path, capsys):
     assert "q=2" in out and "eis_residual=0" in out
     candidate = load(tmp_path / "candidate_s2_0.json")
     assert verify_conditions(candidate).all_pass
+
+
+def test_search_makes_a_missing_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "candidates"
+    code, out, err = run(capsys, "search", "--fix", "0=467/768", "--range=-3:3",
+                         "--out-dir", str(out_dir))
+    assert code == 0 and err == ""
+    assert verify_conditions(load(out_dir / "candidate_s3_0.json")).q == 3
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Every `blockstep ...` line of the README's sh blocks, run in a fresh
+    # directory holding the my_scheme.json the README refers to.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("blockstep ")]
+    assert len(lines) >= 13
+    monkeypatch.chdir(tmp_path)
+    save(builtin("S2"), tmp_path / "my_scheme.json")
+    failed = []
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        if code != 0:
+            failed.append((line, code, err))
+    assert failed == []
+
+
+@pytest.mark.parametrize("command", ["integrate", "converge"])
+def test_problem_help_names_every_builtin_problem(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in PROBLEM_NAMES), out
 
 
 def test_search_s3_slice(capsys):

@@ -11,7 +11,6 @@ from blockstep import integrate as integrate_module
 from blockstep.harness import STANDARD_DTS
 from blockstep.integrate import (
     PROBLEM_NAMES,
-    BlockState,
     _grid,
     bootstrap,
     integrate,
@@ -100,13 +99,13 @@ def test_step_rejects_a_wrapper_that_breaks_the_batch_contract():
     prob = problem("P2")
     bad = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u).T)
     sch = builtin("S3A")  # s = 3 against dim = 2: the transpose shows
-    state = bootstrap(sch, prob, 0.125)
+    V = bootstrap(sch, prob, 0.125)
     msg = r"batch contract: \(3, 2\) for \(2, 3\)"
     with pytest.raises(ValueError, match=msg):
-        step(sch, bad, state, 0.125)
+        step(sch, bad, V, 0.125)
     bad = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u)[:, :1])
     with pytest.raises(ValueError, match="batch contract"):
-        step(sch, bad, state, 0.125)
+        step(sch, bad, V, 0.125)
 
 
 def test_initial_value_is_read_only():
@@ -118,9 +117,8 @@ def test_single_step_preserves_constants():
     prob = _constant_problem()
     for name in BUILTIN_NAMES:
         sch = builtin(name)
-        state = bootstrap(sch, prob, 0.125)
-        after = step(sch, prob, state, 0.125)
-        assert np.max(np.abs(after.values - 1.0)) <= sch.s * EPS, name
+        after = step(sch, prob, bootstrap(sch, prob, 0.125), 0.125)
+        assert np.max(np.abs(after - 1.0)) <= sch.s * EPS, name
 
 
 def test_long_run_constancy_drift_stays_within_budget():
@@ -146,11 +144,11 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
             for dt in (0.125, 1 / 3, 0.0078125):
                 for n in range(20):
                     V = rng.uniform(-3.0, 3.0, size=(sch.s, 2))
-                    state = bootstrap(sch, prob, dt) if n == 0 else BlockState(n, V)
-                    V = state.values
+                    if n == 0:
+                        V = bootstrap(sch, prob, dt)
                     F_rows = np.array([prob.rhs(n * dt + c * dt, v) for c, v in zip(c_in, V)])
                     oracle = A @ V + dt * (B @ F_rows)
-                    after = step(sch, prob, state, dt).values
+                    after = step(sch, prob, V, dt, n)
                     assert np.array_equal(after, oracle), (prob.name, name, dt, n)
 
 
@@ -159,29 +157,28 @@ def test_dahlquist_step_is_the_amplification_matrix():
     dt = 0.1
     for name in ("S2", "S3B"):
         sch = builtin(name)
-        state = bootstrap(sch, prob, dt)
-        after = step(sch, prob, state, dt)
+        V = bootstrap(sch, prob, dt)
+        after = step(sch, prob, V, dt)
         A = np.array([[float(x) for x in row] for row in sch.A])
         B = np.array([[float(x) for x in row] for row in sch.B])
-        oracle = (A + dt * (-1.0) * B) @ state.values
+        oracle = (A + dt * (-1.0) * B) @ V
         tol = 4 * np.spacing(np.abs(oracle))
-        assert np.all(np.abs(after.values - oracle) <= tol), name
+        assert np.all(np.abs(after - oracle) <= tol), name
 
 
 def test_step_matches_hand_rolled_arithmetic():
     sch = builtin("S2")
     prob = problem("P1")
     dt = 0.125
-    state = bootstrap(sch, prob, dt)
-    after = step(sch, prob, state, dt)
-    v = [float(state.values[j, 0]) for j in range(2)]
+    V = bootstrap(sch, prob, dt)
+    after = step(sch, prob, V, dt)
+    v = [float(V[j, 0]) for j in range(2)]
     f = [-x * x for x in v]
     for i in range(2):
         Ai = [float(x) for x in sch.A[i]]
         Bi = [float(x) for x in sch.B[i]]
         hand = Ai[0] * v[0] + Ai[1] * v[1] + dt * (Bi[0] * f[0] + Bi[1] * f[1])
-        assert after.values[i, 0] == pytest.approx(hand, abs=5 * np.spacing(abs(hand)))
-    assert after.n == 1
+        assert after[i, 0] == pytest.approx(hand, abs=5 * np.spacing(abs(hand)))
 
 
 def test_step_flags_non_finite_immediately():
@@ -192,9 +189,9 @@ def test_step_flags_non_finite_immediately():
         [1.0],
     )
     sch = builtin("S2")
-    state = bootstrap(sch, prob, 0.1)
+    V = bootstrap(sch, prob, 0.1)
     with pytest.raises(ValueError, match="non-finite state at step 1"):
-        step(sch, prob, state, 0.1)
+        step(sch, prob, V, 0.1)
 
 
 def test_blowup_reports_the_failing_step():
@@ -206,10 +203,10 @@ def test_blowup_reports_the_failing_step():
 
 def test_bootstrap_uses_exact_rows_when_available():
     sch = builtin("S2")
-    state = bootstrap(sch, problem("P1"), 0.1)
-    assert state.values[0, 0] == pytest.approx(1.0 / 1.05, rel=1e-15)
-    assert state.values[1, 0] == 1.0
-    assert state.n == 0
+    V = bootstrap(sch, problem("P1"), 0.1)
+    assert V[0, 0] == pytest.approx(1.0 / 1.05, rel=1e-15)
+    assert V[1, 0] == 1.0
+    assert V.shape == (2, 1) and V.dtype == np.float64 and V.flags.c_contiguous
 
 
 def test_bootstrap_sweep_matches_exact_rows():
@@ -219,7 +216,7 @@ def test_bootstrap_sweep_matches_exact_rows():
         sch = builtin(name)
         swept = bootstrap(sch, hidden, 0.1)
         known = bootstrap(sch, problem("P1"), 0.1)
-        assert np.max(np.abs(swept.values - known.values)) < 1e-12, name
+        assert np.max(np.abs(swept - known)) < 1e-12, name
 
 
 def test_bootstrap_sweep_is_internally_converged():
@@ -227,7 +224,7 @@ def test_bootstrap_sweep_is_internally_converged():
     prob = problem("P2")
     rich = bootstrap(sch, prob, 0.1, n_sub=1000)
     half = bootstrap(sch, prob, 0.1, n_sub=500)
-    assert np.max(np.abs(rich.values - half.values)) < 1e-12
+    assert np.max(np.abs(rich - half)) < 1e-12
 
 
 def test_bootstrap_rejects_non_positive_step():
@@ -241,9 +238,38 @@ def test_bootstrap_takes_an_exact_step_as_its_double():
     for name in ("P1", "P2"):
         exact = bootstrap(builtin("S2"), problem(name), F(1, 16))
         double = bootstrap(builtin("S2"), problem(name), 0.0625)
-        assert np.array_equal(exact.values, double.values), name
+        assert np.array_equal(exact, double), name
     with pytest.raises(ValueError, match="^dt rounds to 0.0 in double precision$"):
         bootstrap(builtin("S2"), problem("P1"), F(1, 10**400))
+
+
+RUN_ENTRY_POINTS = {  # each run entry point of the library, called with one step size
+    "bootstrap": lambda sch, prob, dt: bootstrap(sch, prob, dt),
+    "step": lambda sch, prob, dt: step(sch, prob, bootstrap(sch, prob, 0.125), dt),
+    "integrate": lambda sch, prob, dt: integrate(sch, prob, dt, 1.0),
+    "march": lambda sch, prob, dt: march(sch, prob, [dt], 1.0, [bootstrap(sch, prob, 0.125)]),
+    "measure_lte": lambda sch, prob, dt: measure_lte(sch, prob, dt, 1.0),
+}
+
+
+@pytest.mark.parametrize("dt, message", [
+    (0, "non-positive step"),
+    (-0.125, "non-positive step"),
+    (math.nan, "dt is not a number"),
+    (F(1, 10**400), "dt rounds to 0.0 in double precision"),
+], ids=["zero", "negative", "nan", "underflow"])
+@pytest.mark.parametrize("entry", RUN_ENTRY_POINTS)
+def test_every_run_entry_point_checks_its_step_alike(entry, dt, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RUN_ENTRY_POINTS[entry](builtin("S2"), problem("P4"), dt)
+
+
+def test_step_takes_an_exact_step_as_its_double():
+    sch, prob = builtin("S2"), problem("P4")
+    V = bootstrap(sch, prob, 0.125)
+    for n in (0, 3):
+        exact, double = step(sch, prob, V, F(1, 8), n), step(sch, prob, V, 0.125, n)
+        assert exact.tobytes() == double.tobytes() and exact.shape == (2, 1), n
 
 
 def test_bootstrap_rejects_non_positive_substep_count():
@@ -285,7 +311,7 @@ def test_bootstrap_march_equals_the_per_interval_loop(dt, n_sub):
     for prob in (problem("P2"), _forced()):
         for name in BUILTIN_NAMES:
             sch = builtin(name)
-            rows = bootstrap(sch, prob, dt, n_sub=n_sub).values
+            rows = bootstrap(sch, prob, dt, n_sub=n_sub)
             assert np.array_equal(rows, _bootstrap_substeps(sch, prob, dt, n_sub)), (
                 prob.name, name)
 
@@ -297,7 +323,7 @@ def test_bootstrap_march_on_uneven_abscissae_stays_within_rounding():
                       [[0, 0, 1]] * 3, [[0, 0, 0]] * 3)
     for prob in (problem("P2"), _forced()):
         for dt in (0.125, 1 / 3, 0.1):
-            rows = bootstrap(sch, prob, dt).values
+            rows = bootstrap(sch, prob, dt)
             oracle = _bootstrap_substeps(sch, prob, dt, 1000)
             assert np.max(np.abs(rows - oracle)) < 1e-13, (prob.name, dt)
 
@@ -305,7 +331,7 @@ def test_bootstrap_march_on_uneven_abscissae_stays_within_rounding():
 def test_bootstrap_of_a_one_row_scheme_is_the_initial_value():
     euler = make_scheme("euler", [0], [1], [[1]], [[1]])
     prob = problem("P2")
-    rows = bootstrap(euler, prob, 0.125).values
+    rows = bootstrap(euler, prob, 0.125)
     assert rows.shape == (1, 2) and np.array_equal(rows[0], prob.u0)
 
 
@@ -320,7 +346,7 @@ def test_integrate_p1_reaches_the_target():
     # Block 0 is the bootstrap rows, and the run ends near the solution.
     sch, prob = builtin("S3C"), problem("P3")
     blocks = integrate(sch, prob, F(1, 8), 1.0)
-    assert np.array_equal(blocks[0], bootstrap(sch, prob, 0.125).values)
+    assert np.array_equal(blocks[0], bootstrap(sch, prob, 0.125))
     assert abs(blocks[-1][-1, 0] - math.exp(-1.0)) < 1e-3
 
 
@@ -331,11 +357,11 @@ def _per_dt_runs(scheme, prob, dts, T, starts):
     runs = []
     for dt, start in zip(dts, starts):
         dt = float(dt)
-        state = BlockState(0, np.array(start, dtype=float))
-        blocks = [state.values]
-        for _ in range(round(T / dt)):
-            state = step(scheme, prob, state, dt)
-            blocks.append(state.values)
+        V = np.array(start, dtype=float)
+        blocks = [V]
+        for n in range(round(T / dt)):
+            V = step(scheme, prob, V, dt, n)
+            blocks.append(V)
         runs.append(np.array(blocks))
     return runs
 
@@ -359,7 +385,7 @@ def test_march_equals_the_per_dt_loop(name):
     for sch_name in BUILTIN_NAMES:
         sch = builtin(sch_name)
         for dts, T in LADDERS:
-            starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
+            starts = [bootstrap(sch, prob, dt, n_sub=1) for dt in dts]
             runs = march(sch, prob, dts, T, starts)
             assert len(runs) == len(dts)
             for dt, got, want in zip(dts, runs, _per_dt_runs(sch, prob, dts, T, starts)):
@@ -379,7 +405,7 @@ def test_march_computes_row_times_once_per_chunk_of_levels(monkeypatch):
     monkeypatch.setattr(integrate_module, "_row_times", counted)
     sch, prob = builtin("S3A"), problem("P4")
     dts, T = LADDERS[-1]
-    starts = [bootstrap(sch, prob, dt, n_sub=1).values for dt in dts]
+    starts = [bootstrap(sch, prob, dt, n_sub=1) for dt in dts]
     calls.clear()
     march(sch, prob, dts, T, starts)
     assert calls == [(512, 4, 3), (512, 3, 3), (176, 1, 3)]  # the 1024-level lane left at 1024
@@ -389,7 +415,7 @@ def test_march_keeps_each_run_in_one_contiguous_lane():
     # Storage is lane-major, so a run that reaches T early never touches
     # the tail of its lane.
     sch, prob = builtin("S3A"), problem("P1")
-    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS]
+    starts = [bootstrap(sch, prob, dt) for dt in STANDARD_DTS]
     runs = march(sch, prob, STANDARD_DTS, 1.0, starts)
     for dt, run in zip(STANDARD_DTS, runs):
         assert run.shape == (round(1.0 / dt) + 1, sch.s, prob.dim), dt
@@ -399,7 +425,7 @@ def test_march_keeps_each_run_in_one_contiguous_lane():
 def test_march_rejects_non_finite_start_rows():
     sch, dts = builtin("S2"), STANDARD_DTS[:3]
     for prob in (problem("P1"), problem("P2")):
-        starts = np.array([bootstrap(sch, prob, dt, n_sub=1).values for dt in dts])
+        starts = np.array([bootstrap(sch, prob, dt, n_sub=1) for dt in dts])
         for bad in (np.nan, np.inf):
             given = starts.copy()
             given[1, 0, 0] = bad
@@ -432,7 +458,7 @@ def test_march_fails_at_the_step_of_the_lane_that_blows_up():
     pole = make_problem("pole", lambda t, u: -u * u, None, [-1.0])
     sch = builtin("S2")
     dts = [1 / 4, 1 / 3, 1 / 5]
-    starts = [bootstrap(sch, pole, dt, n_sub=1).values for dt in dts]
+    starts = [bootstrap(sch, pole, dt, n_sub=1) for dt in dts]
     with np.errstate(over="ignore", invalid="ignore"):
         alone = []
         for dt, start in zip(dts, starts):
@@ -452,7 +478,7 @@ def test_march_rejects_an_rhs_that_breaks_the_batch_contract_on_a_stack():
     prob = problem("P1")
     narrow = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u)[:, :2])
     sch = builtin("S2")
-    starts = [bootstrap(sch, prob, dt).values for dt in STANDARD_DTS[:3]]
+    starts = [bootstrap(sch, prob, dt) for dt in STANDARD_DTS[:3]]
     _per_dt_runs(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
     with pytest.raises(ValueError, match=r"batch contract: \(1, 2\) for \(1, 6\)"):
         march(sch, narrow, STANDARD_DTS[:3], 1.0, starts)
@@ -476,7 +502,7 @@ def test_a_nan_step_or_horizon_is_named_before_any_rhs_or_exact_call():
         return lambda *args: calls.append(f) or f(*args)
 
     prob = dataclasses.replace(base, rhs=logged(base.rhs), exact=logged(base.exact))
-    start = [bootstrap(sch, base, F(1, 8)).values]
+    start = [bootstrap(sch, base, F(1, 8))]
     nan = math.nan
     for run, what in [
         (lambda: integrate(sch, prob, nan, 1.0), "dt"),
@@ -559,7 +585,7 @@ def test_linear_problem_equals_matrix_power():
     A = np.array([[float(x) for x in row] for row in sch.A])
     B = np.array([[float(x) for x in row] for row in sch.B])
     M = A + dt * (-1.0) * B
-    oracle = np.linalg.matrix_power(M, 16) @ bootstrap(sch, prob, dt).values
+    oracle = np.linalg.matrix_power(M, 16) @ bootstrap(sch, prob, dt)
     assert np.max(np.abs(final - oracle)) < 1e-13
 
 
