@@ -29,10 +29,20 @@ Under C1-C2 every row of A equals the same vector a^T, so
 A d_{q+1} = (a^T d_{q+1}) 1 and C4 is exactly the leading-order annihilation
 statement.  Global error then converges one order beyond q.
 
-A Scheme is immutable, so each exact result is computed once per scheme: the
-d_p and the truncation order are kept in the scheme's own memo,
-Scheme.exact_memo, and residual_vector, residual_table, truncation_order and
-verify_conditions (through truncation_order) read them from there.
+Each d_p is computed on integers.  Let D be the lcm of the denominators of
+c_in and c_out, m = D c_in and o = D c_out, and L_i the lcm of the
+denominators of row i of [A | B], with alpha_i = L_i A_i and beta_i = L_i B_i.
+Multiplying row i of d_p by L_i p! D^p, and using D^p c^(p-1) = D m^(p-1),
+
+    L_i p! D^p d_p[i]  =  L_i o_i^p  -  alpha_i . m^p  -  p D beta_i . m^(p-1),
+
+an integer, so each entry of d_p is one Fraction, reduced once.
+
+A Scheme is immutable, so each exact result is computed once per scheme:
+the integer table (D, m, o and the scaled rows), the d_p and the truncation
+order are kept in the scheme's own memo, Scheme.exact_memo, and
+residual_vector, residual_table, truncation_order and verify_conditions
+(through truncation_order) read them from there.
 
 Linear stability: rho(A + z B) is the largest eigenvalue modulus of the
 double-precision Q(z), from numpy's LAPACK eigvals, for any block size s.
@@ -44,12 +54,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ExactVector, dot, matvec, rank
+from .exact import ExactVector, dot, matvec, over_lcm, rank
 from .scheme import Scheme
+
+
+def _integers(scheme: Scheme):
+    """(D, m, o, rows) of the module docstring, rows[i] = (L_i, L_i [A_i | B_i]);
+    kept in the memo under "integers"."""
+    memo = scheme.exact_memo
+    if "integers" not in memo:
+        s = scheme.s
+        D, mo = over_lcm(scheme.c_in + scheme.c_out)
+        rows = [over_lcm(A_i + B_i) for A_i, B_i in zip(scheme.A, scheme.B)]
+        memo["integers"] = (D, mo[:s], mo[s:], rows)
+    return memo["integers"]
 
 
 def residual_vector(scheme: Scheme, p: int) -> ExactVector:
@@ -63,16 +86,12 @@ def residual_vector(scheme: Scheme, p: int) -> ExactVector:
     memo = scheme.exact_memo
     if p in memo:
         return memo[p]
-    if p == 0:
-        d = tuple(1 - x for x in matvec(scheme.A, (1,) * scheme.s))
-    else:
-        # Row i of p! d_p is c_out_i^p - A_i . c_in^p - p B_i . c_in^(p-1): one dot.
-        u = tuple(-(c**p) for c in scheme.c_in) + tuple(-p * c ** (p - 1) for c in scheme.c_in)
-        fp = factorial(p)
-        d = tuple(
-            (c**p + dot(A_i + B_i, u)) / fp
-            for c, A_i, B_i in zip(scheme.c_out, scheme.A, scheme.B)
-        )
+    D, m, o, rows = _integers(scheme)
+    # Row i of L_i p! D^p d_p is L_i o_i^p - n_i . (m^p | p D m^(p-1)).  At
+    # p = 0 the B part drops and this is L_i (1 - A_i . 1).
+    u = [x**p for x in m] + [p * D * x ** (p - 1) if p else 0 for x in m]
+    scale = factorial(p) * D**p
+    d = tuple(Fraction(L * y**p - sum(map(mul, n, u)), L * scale) for y, (L, n) in zip(o, rows))
     memo[p] = d
     return d
 

@@ -133,6 +133,7 @@ def cmd_verify(args) -> int:
             "a": None if rep.a is None else [rat_str(x) for x in rep.a],
             "eis_residual": None if rep.eis_residual is None else rat_str(rep.eis_residual),
             "error_inhibiting": rep.all_pass,
+            "marches": scheme.marches,
         }
         print(json.dumps(doc, indent=2))
         return 0
@@ -144,6 +145,8 @@ def cmd_verify(args) -> int:
             print(f"{label} {rec.status} {_WITNESS_NAMES[label]}={_witness(rec.witness)}")
     print(f"truncation order q={rep.q}, leading residual d_{rep.q + 1} = {_vec_str(rep.leading)}")
     print(f"error inhibiting: {'yes' if rep.all_pass else 'no'}")
+    if not scheme.marches:
+        print("marches: no (c_out must equal c_in + 1)")
     return 0
 
 

@@ -6,6 +6,16 @@ b_i of B solves the transposed Vandermonde system
 
     sum_j b_ij c_in[j]^(p-1)  =  (c_out[i]^p - a^T c_in^p) / p ,   p = 1..s.
 
+The system is solved on integers.  With D the lcm of the denominators of
+c_in and c_out, m = D c_in and o = D c_out, multiplying condition p by
+p D^p and using D^p c^(p-1) = D m^(p-1) gives
+
+    sum_j b_ij p D m_j^(p-1)  =  o_i^p - a^T m^p ,
+
+so the matrix has integer entries and each right-hand side is an integer
+less one moment.  Scaling a whole row of a linear system leaves its solution
+as it was, so B does not change; row p - 1 of R - V X is p! D^p d_p.
+
 What remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
 (s-1)-parameter family of admissible a.  That constraint is affine in a: the
 right-hand sides above share the term a^T c_in^p across rows, so every row
@@ -19,7 +29,10 @@ Under a = e_k only row k of d_{s+1} enters the constraint, and row k of B
 solves the system above with the unit-vector moments a^T c_in^p = c_in[k]^p,
 so one solve with those s right-hand-side columns gives every such row:
 
-    w_k = (c_out[k]^(s+1) - c_in[k]^(s+1) - (s+1) b_k . c_in^s) / (s+1)! .
+    w_k = (c_out[k]^(s+1) - c_in[k]^(s+1) - (s+1) b_k . c_in^s) / (s+1)!
+        = (o_k^(s+1) - m_k^(s+1) - (s+1) D b_k . m^s) / ((s+1)! D^(s+1)),
+
+the scaled condition p = s + 1 on row k, divided by (s+1)! D^(s+1).
 
 eis_constraint(a) evaluates a^T d_{s+1} on the assembled scheme of a,
 apart from this row; the searches do not call it.
@@ -32,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import analysis
-from .exact import ExactMatrix, ExactVector, as_vector, dot, solve_linear
+from .exact import ExactMatrix, ExactVector, as_vector, dot, over_lcm, solve_linear
 from .scheme import Scheme, check_abscissae
 
 
@@ -56,20 +69,24 @@ def _abscissae(s: int, c_in, c_out):
     return c_in, c_out
 
 
-def _order_system(c_in, c_out, moments):
-    """The conditions d_p = 0, p = 1..s, on every row of B as one system V X = R.
+def _order_system(c_in, c_out, moments, rows: int):
+    """The conditions d_p = 0, p = 1..rows, on every row of B as V X = R,
+    with row p - 1 scaled by p D^p (see the module docstring).
 
-    Row p - 1 of V is c_in^(p-1).  Column i of R holds the right-hand sides
-    (c_out[i]^p - m_i) / p of row b_i, where m = moments(c_in^p) is the
-    vector of the A_i . c_in^p.
+    Returns (D, V, R).  D is the common denominator of c_in and c_out, with
+    m = D c_in and o = D c_out.  Row p - 1 of V is p D m^(p-1), and column
+    i of R holds o_i^p - moments(m^p)_i, where moments(m^p) is the vector
+    of the A_i . m^p.  Row p - 1 of R - V X is then p! D^p d_p.
     """
     s = len(c_in)
-    powers = [tuple(c**p for c in c_in) for p in range(s + 1)]
+    D, mo = over_lcm(c_in + c_out)
+    m, o = mo[:s], mo[s:]
+    V = tuple(tuple(p * D * x ** (p - 1) for x in m) for p in range(1, rows + 1))
     R = tuple(
-        tuple((c**p - m) / p for c, m in zip(c_out, moments(powers[p])))
-        for p in range(1, s + 1)
+        tuple(y**p - mom for y, mom in zip(o, moments([x**p for x in m])))
+        for p in range(1, rows + 1)
     )
-    return tuple(powers[:s]), R
+    return D, V, R
 
 
 def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
@@ -79,8 +96,8 @@ def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
     c_in, c_out = _abscissae(s, c_in, c_out)
     if sum(a) != 1:
         raise ValueError("row sum violation")
-    # Every row of A is a, so a^T c_in^p is shared by all rows.
-    V, R = _order_system(c_in, c_out, lambda cp: (dot(a, cp),) * s)
+    # Every row of A is a, so a^T m^p is shared by all rows.
+    _, V, R = _order_system(c_in, c_out, lambda mp: (dot(a, mp),) * s, s)
     return Scheme(name, c_in, c_out, (a,) * s, tuple(zip(*solve_linear(V, R))))
 
 
@@ -136,16 +153,18 @@ class SearchRoot:
 def _eis_row(s: int, c_in, c_out):
     """Yield w_k = eis_constraint(e_k), k < s, so eis_constraint(a) = w . a.
 
-    One solve of the order conditions under the moments c_in[k]^p gives every
-    row b_k of B under a = e_k (see the module docstring).  The inputs are
-    checked as assemble checks them.
+    One solve of the scaled conditions p = 1..s under the moments m_k^p gives
+    every row b_k of B under a = e_k, and the scaled condition p = s + 1 then
+    gives w_k (see the module docstring).  The inputs are checked as assemble
+    checks them.
     """
     c_in, c_out = _abscissae(s, c_in, c_out)
-    X = solve_linear(*_order_system(c_in, c_out, lambda cp: cp))
     n = s + 1
-    top = tuple(c**s for c in c_in)
+    D, V, R = _order_system(c_in, c_out, lambda mp: mp, n)
+    X = solve_linear(V[:s], R[:s])
+    scale = factorial(n) * D**n
     for k, b_k in enumerate(zip(*X)):
-        yield (c_out[k] ** n - c_in[k] ** n - n * dot(b_k, top)) / factorial(n)
+        yield (R[s][k] - dot(V[s], b_k)) / scale
 
 
 def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:

@@ -13,6 +13,10 @@ a single Fraction.  A plain sum of Fraction products normalises each product
 and each partial sum with a gcd of its own, 2n reductions for n terms, and
 those dominate the cost of the residual and constraint algebra.
 
+over_lcm writes a rational vector as integer numerators over one common
+denominator; elimination rows, residual vectors and the order system are all
+scaled through it, so they build a Fraction only at the end.
+
 Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
 integers instead of fractions with multiplied-out denominators.  Back
@@ -98,16 +102,20 @@ def dot(u, v) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
+def over_lcm(v) -> tuple[int, list[int]]:
+    """(D, n) with D the lcm of the denominators of v (rationals or ints)
+    and n_j = D v_j, so v = n / D with every n_j an integer."""
+    D = lcm(*(x.denominator for x in v))
+    return D, [x.numerator * (D // x.denominator) for x in v]
+
+
 def _integer_rows(M, extra=None):
     # Scale each row by the lcm of its denominators; rank and solution sets
     # are unchanged.  `extra` appends right-hand-side columns first (its
     # row i joins row i of M).
-    rows = []
-    for i, row in enumerate(M):
-        full = list(row) + (list(extra[i]) if extra is not None else [])
-        scale = lcm(*(f.denominator for f in full))
-        rows.append([f.numerator * (scale // f.denominator) for f in full])
-    return rows
+    if extra is None:
+        return [over_lcm(row)[1] for row in M]
+    return [over_lcm((*row, *more))[1] for row, more in zip(M, extra)]
 
 
 def _eliminate(rows, ncols: int) -> int:

@@ -50,6 +50,12 @@ class Scheme:
                 raise ValueError(f"{label} not square of size s")
         check_abscissae(self.c_in, self.c_out)
 
+    @property
+    def marches(self) -> bool:
+        """Whether the scheme can be stepped: c_out = c_in + 1, so each step
+        moves the whole block by dt."""
+        return all(o - i == 1 for i, o in zip(self.c_in, self.c_out))
+
     @cached_property
     def float_tables(self):
         """Read-only (A, B, c_in, c_out) rounded to double, once per scheme;
@@ -72,8 +78,10 @@ class Scheme:
     def exact_memo(self) -> dict:
         """This scheme's exact analysis, filled by blockstep.analysis as it is
         computed: the residual vector d_p under the key p, any other term
-        under its name ("order").  Like float_tables it is per instance, so
-        no Fraction is hashed and equality, hashing and save/load ignore it."""
+        under its name ("order", and "integers" for the common denominators
+        and integer numerators d_p is computed from).  Like float_tables it is
+        per instance, so no Fraction is hashed and equality, hashing and
+        save/load ignore it."""
         return {}
 
 

@@ -81,6 +81,27 @@ def test_verify_scheme_file_with_skipped_conditions(tmp_path, capsys):
     assert "C4 NOT EVALUATED (requires C1 and C2)" in out
 
 
+def test_verify_reports_a_scheme_that_does_not_march(tmp_path, capsys):
+    # Error inhibiting in exact arithmetic, but c_out = c_in + (5/4, 1):
+    # verify says so, and integrate refuses it on the same predicate.
+    path = str(tmp_path / "x.json")
+    code, out, err = run(capsys, "derive", "--a=-2/23,25/23", "--cin", "1/2,0",
+                         "--cout", "7/4,1", "--out", path)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert out.endswith("error inhibiting: yes\nmarches: no (c_out must equal c_in + 1)\n")
+    code, out, err = run(capsys, "verify", path, "--json")
+    doc = json.loads(out)
+    assert (doc["error_inhibiting"], doc["marches"]) == (True, False)
+    code, out, err = run(capsys, "integrate", "--scheme", path, "--problem", "P1",
+                         "--dt", "1/8", "--T", "1")
+    assert code == 1 and "scheme does not march: c_out must equal c_in + 1" in err
+    code, out, err = run(capsys, "verify", "S2", "--json")
+    assert json.loads(out)["marches"] is True
+    assert "marches" not in run(capsys, "verify", "S2")[1]
+
+
 def test_truncation(capsys):
     code, out, err = run(capsys, "truncation", "S2", "--pmax", "4")
     assert code == 0

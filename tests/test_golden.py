@@ -98,7 +98,8 @@ error inhibiting: yes
     "-3/4"
   ],
   "eis_residual": "19/24",
-  "error_inhibiting": false
+  "error_inhibiting": false,
+  "marches": true
 }
 """,
     ("truncation", "S3A", "--pmax", "6"): """\
