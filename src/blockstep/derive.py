@@ -1,38 +1,31 @@
 """Construction of new error-inhibiting scheme candidates.
 
-Fixing the rank-1 row a (so A = 1 a^T with a^T 1 = 1) and the abscissae
-determines B uniquely from the order conditions d_p = 0, p = 1..s: each row
-b_i of B solves the transposed Vandermonde system
+Fixing A and the abscissae determines B uniquely from the order conditions
+d_p = 0, p = 1..s: each row b_i of B solves the transposed Vandermonde system
 
-    sum_j b_ij c_in[j]^(p-1)  =  (c_out[i]^p - a^T c_in^p) / p ,   p = 1..s.
+    sum_j b_ij c_in[j]^(p-1)  =  (c_out[i]^p - A_i . c_in^p) / p ,   p = 1..s.
 
-The system is solved on integers.  With D the lcm of the denominators of
+_assemble solves it on integers.  With D the lcm of the denominators of
 c_in and c_out, m = D c_in and o = D c_out, multiplying condition p by
 p D^p and using D^p c^(p-1) = D m^(p-1) gives
 
-    sum_j b_ij p D m_j^(p-1)  =  o_i^p - a^T m^p ,
+    sum_j b_ij p D m_j^(p-1)  =  o_i^p - A_i . m^p ,
 
 so the matrix has integer entries and each right-hand side is an integer
 less one moment.  Scaling a whole row of a linear system leaves its solution
-as it was, so B does not change; row p - 1 of R - V X is p! D^p d_p.
+as it was, so B does not change.
 
-What remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
-(s-1)-parameter family of admissible a.  That constraint is affine in a: the
-right-hand sides above share the term a^T c_in^p across rows, so every row
-of d_{s+1} is kappa_i + lambda(a) with lambda linear and the same for all
-rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  So the
-constraint is w . a on the hyperplane, with w_k its value at the unit vector
-e_k, and each search root is one exact linear solve on that row.
+The designs here fix the rank-1 row a, so A = 1 a^T with a^T 1 = 1.  What
+remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
+(s-1)-parameter family of admissible a.  That constraint is affine in a:
+the right-hand sides above share the term a^T c_in^p across rows, so every
+row of d_{s+1} is kappa_i + lambda(a) with lambda linear and the same for
+all rows, and a^T d_{s+1} = a^T kappa + lambda(a) once a^T 1 = 1.  So the
+constraint is w . a on the hyperplane, with w_k its value at the unit
+vector e_k, and each search root is one exact linear solve on that row.
 
-The row w comes from one elimination of the Vandermonde matrix V(c_in).
-Under a = e_k only row k of d_{s+1} enters the constraint, and row k of B
-solves the system above with the unit-vector moments a^T c_in^p = c_in[k]^p,
-so one solve with those s right-hand-side columns gives every such row:
-
-    w_k = (c_out[k]^(s+1) - c_in[k]^(s+1) - (s+1) b_k . c_in^s) / (s+1)!
-        = (o_k^(s+1) - m_k^(s+1) - (s+1) D b_k . m^s) / ((s+1)! D^(s+1)),
-
-the scaled condition p = s + 1 on row k, divided by (s+1)! D^(s+1).
+Row k of B and of d_p read only row k of A, and row k of 1 e_k^T is row k
+of the identity, so w is d_{s+1} of the design with A = I: one assembly.
 
 eis_constraint(a) evaluates a^T d_{s+1} on the assembled scheme of a,
 apart from this row; the searches do not call it.
@@ -42,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import analysis
 from .exact import ExactMatrix, ExactVector, as_vector, dot, over_lcm, solve_linear
@@ -69,24 +61,19 @@ def _abscissae(s: int, c_in, c_out):
     return c_in, c_out
 
 
-def _order_system(c_in, c_out, moments, rows: int):
-    """The conditions d_p = 0, p = 1..rows, on every row of B as V X = R,
-    with row p - 1 scaled by p D^p (see the module docstring).
+def _assemble(c_in, c_out, A, moments, name: str) -> Scheme:
+    """Scheme with the checked abscissae, this A and the unique B with d_p = 0
+    for p = 1..s, solved on the integer system of the module docstring.
 
-    Returns (D, V, R).  D is the common denominator of c_in and c_out, with
-    m = D c_in and o = D c_out.  Row p - 1 of V is p D m^(p-1), and column
-    i of R holds o_i^p - moments(m^p)_i, where moments(m^p) is the vector
-    of the A_i . m^p.  Row p - 1 of R - V X is then p! D^p d_p.
+    moments(v) is A v for an integer vector v, so a shared row is one dot.
     """
     s = len(c_in)
     D, mo = over_lcm(c_in + c_out)
     m, o = mo[:s], mo[s:]
-    V = tuple(tuple(p * D * x ** (p - 1) for x in m) for p in range(1, rows + 1))
-    R = tuple(
-        tuple(y**p - mom for y, mom in zip(o, moments([x**p for x in m])))
-        for p in range(1, rows + 1)
-    )
-    return D, V, R
+    orders = range(1, s + 1)
+    V = [[p * D * x ** (p - 1) for x in m] for p in orders]
+    R = [[y**p - mom for y, mom in zip(o, moments([x**p for x in m]))] for p in orders]
+    return Scheme(name, c_in, c_out, A, tuple(zip(*solve_linear(V, R))))
 
 
 def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
@@ -97,8 +84,7 @@ def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
     if sum(a) != 1:
         raise ValueError("row sum violation")
     # Every row of A is a, so a^T m^p is shared by all rows.
-    _, V, R = _order_system(c_in, c_out, lambda mp: (dot(a, mp),) * s, s)
-    return Scheme(name, c_in, c_out, (a,) * s, tuple(zip(*solve_linear(V, R))))
+    return _assemble(c_in, c_out, (a,) * s, lambda mp: (dot(a, mp),) * s, name)
 
 
 def solve_B(a, c_in=None, c_out=None) -> ExactMatrix:
@@ -153,18 +139,13 @@ class SearchRoot:
 def _eis_row(s: int, c_in, c_out):
     """Yield w_k = eis_constraint(e_k), k < s, so eis_constraint(a) = w . a.
 
-    One solve of the scaled conditions p = 1..s under the moments m_k^p gives
-    every row b_k of B under a = e_k, and the scaled condition p = s + 1 then
-    gives w_k (see the module docstring).  The inputs are checked as assemble
-    checks them.
+    w is d_{s+1} of the design with A = I (see the module docstring).  The
+    inputs are checked as assemble checks them.
     """
     c_in, c_out = _abscissae(s, c_in, c_out)
-    n = s + 1
-    D, V, R = _order_system(c_in, c_out, lambda mp: mp, n)
-    X = solve_linear(V[:s], R[:s])
-    scale = factorial(n) * D**n
-    for k, b_k in enumerate(zip(*X)):
-        yield (R[s][k] - dot(V[s], b_k)) / scale
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(s)) for i in range(s))
+    sch = _assemble(c_in, c_out, eye, lambda mp: mp, "eis row")
+    yield from analysis.residual_vector(sch, s + 1)
 
 
 def _pinned_root(w, fixed: dict, t_range) -> list[SearchRoot]:

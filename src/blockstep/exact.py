@@ -109,15 +109,6 @@ def over_lcm(v) -> tuple[int, list[int]]:
     return D, [x.numerator * (D // x.denominator) for x in v]
 
 
-def _integer_rows(M, extra=None):
-    # Scale each row by the lcm of its denominators; rank and solution sets
-    # are unchanged.  `extra` appends right-hand-side columns first (its
-    # row i joins row i of M).
-    if extra is None:
-        return [over_lcm(row)[1] for row in M]
-    return [over_lcm((*row, *more))[1] for row, more in zip(M, extra)]
-
-
 def _eliminate(rows, ncols: int) -> int:
     """Bareiss elimination of the integer rows in place; returns the rank.
 
@@ -151,7 +142,8 @@ def _eliminate(rows, ncols: int) -> int:
 
 def rank(M: ExactMatrix) -> int:
     """Exact rank via fraction-free Gaussian elimination."""
-    rows = _integer_rows(M)
+    # Each row over the lcm of its denominators: the rank is unchanged.
+    rows = [over_lcm(row)[1] for row in M]
     return _eliminate(rows, len(rows[0]))
 
 
@@ -167,7 +159,8 @@ def solve_linear(M: ExactMatrix, R: ExactMatrix) -> ExactMatrix:
     if len(R) != n or len({len(row) for row in R}) != 1:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs is not an {n}-row matrix")
     k = len(R[0])
-    rows = _integer_rows(M, extra=R)
+    # Each row of [M | R] over the lcm of its denominators: X is unchanged.
+    rows = [over_lcm((*row, *rhs))[1] for row, rhs in zip(M, R)]
     if _eliminate(rows, n) < n:
         raise ValueError("singular system")
     # Back substitution in integers, all columns at once.  The last Bareiss

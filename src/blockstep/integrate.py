@@ -118,6 +118,14 @@ def _row_times(c, n, dt):
     return n * dt + c * dt
 
 
+def _rhs(prob: Problem, times, rows: np.ndarray) -> np.ndarray:
+    """prob.rhs on the columns of rows, (dim, k), at times; the one check of its shape."""
+    F = prob.rhs(times, rows)
+    if F.shape != rows.shape:
+        raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
+    return F
+
+
 def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt, times) -> np.ndarray:
     """The block step A V + dt B F(V) for blocks n, in one rhs call at their row times.
 
@@ -128,9 +136,7 @@ def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt, times) ->
     """
     A, B, _, _ = scheme.float_tables
     rows = V.reshape(-1, V.shape[-1]).T  # every row of every lane as a column
-    F = prob.rhs(times, rows)
-    if F.shape != rows.shape:
-        raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
+    F = _rhs(prob, times, rows)
     if np.count_nonzero(np.isfinite(F)) < F.size:  # cheaper per level than .all()
         raise ValueError(f"non-finite state at step {n + 1}")
     values = np.matmul(B, F.T.reshape(V.shape))
@@ -347,6 +353,6 @@ def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
     A, B, c_in, c_out = scheme.float_tables
     t_in, t_out = (_row_times(c, np.arange(n_steps)[:, None], dtf) for c in (c_in, c_out))
     U, U1 = _closed_form(prob, t_in), _closed_form(prob, t_out)  # (dim, N, s)
-    F = prob.rhs(t_in.ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
+    F = _rhs(prob, t_in.ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
     tau = (U1 - U @ A.T - dtf * (F @ B.T)) / dtf
     return np.abs(tau).max(axis=(0, 1), initial=0.0)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from _oracle_util import scheme_residual_on_polynomial
 from blockstep.analysis import residual_vector
-from blockstep.derive import assemble
+from blockstep.derive import _assemble, assemble
+from blockstep.exact import dot, matvec
 from blockstep.scheme import make_scheme
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -25,10 +26,10 @@ entries = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
 
 @st.composite
-def abscissae(draw):
-    """(c_in, c_out) for s = 1..5: descending c_in ending at 0, and a
+def abscissae(draw, min_s=1):
+    """(c_in, c_out) for s = min_s..5: descending c_in ending at 0, and a
     descending c_out ahead of it with gaps of its own."""
-    s = draw(st.integers(1, 5))
+    s = draw(st.integers(min_s, 5))
     gaps = draw(st.lists(positive, min_size=s - 1, max_size=s - 1))
     c_in = tuple(sum(gaps[k:], F(0)) for k in range(s))
     c_out = [c_in[-1] + draw(positive)]
@@ -75,5 +76,35 @@ def test_assemble_zeroes_the_first_s_residuals(pair, data):
     a = (*head, 1 - sum(head, F(0)))
     sch = assemble(a, c_in, c_out)
     assert sch.A == (a,) * s
+    for p in range(1, s + 1):
+        assert oracle_d(sch, p) == (0,) * s, p
+
+
+@SETTINGS
+@given(abscissae(min_s=2), st.sampled_from(["rank-one", "identity", "full"]), st.data())
+def test_assemble_solves_the_order_conditions_for_any_A(pair, form, data):
+    # The three forms of A the moments callable serves: the shared row of
+    # assemble, the identity of the constraint row, and a general A.
+    c_in, c_out = pair
+    s = len(c_in)
+    if form == "rank-one":
+        head = data.draw(st.lists(entries, min_size=s - 1, max_size=s - 1))
+        a = (*head, 1 - sum(head, F(0)))
+        A = (a,) * s
+
+        def moments(v):
+            return (dot(a, v),) * s
+    elif form == "identity":
+        A = tuple(tuple(F(int(i == j)) for j in range(s)) for i in range(s))
+
+        def moments(v):
+            return v
+    else:
+        A = tuple(map(tuple, data.draw(square(s))))
+
+        def moments(v):
+            return matvec(A, v)
+    sch = _assemble(c_in, c_out, A, moments, form)
+    assert (sch.name, sch.c_in, sch.c_out, sch.A) == (form, c_in, c_out, A)
     for p in range(1, s + 1):
         assert oracle_d(sch, p) == (0,) * s, p

@@ -108,6 +108,27 @@ def test_step_rejects_a_wrapper_that_breaks_the_batch_contract():
         step(sch, bad, V, 0.125)
 
 
+def test_lte_rejects_a_wrapper_that_breaks_the_batch_contract():
+    # u' = (u_1, -u_0), exact (cos t, -sin t).  A transposed rhs result has
+    # the right size, so a reshape alone would measure a wrong residual.
+    prob = make_problem(
+        "rotation",
+        lambda t, u: np.array([u[1], -u[0]]),
+        lambda t: np.array([np.cos(t), -np.sin(t)]),
+        [1.0, 0.0],
+    )
+    bad = dataclasses.replace(prob, rhs=lambda t, u: prob.rhs(t, u).T)
+    for name, rows in (("S2", 16), ("S3A", 24)):
+        sch = builtin(name)
+        assert np.max(measure_lte(sch, prob, F(1, 8), 1)) < 1e-2
+        msg = rf"^rhs breaks the batch contract: \({rows}, 2\) for \(2, {rows}\)$"
+        with pytest.raises(ValueError, match=msg):
+            measure_lte(sch, bad, F(1, 8), 1)
+    # S2's one-lane rows are 2 x 2, square, so only S3A's march can tell.
+    with pytest.raises(ValueError, match=r"^rhs breaks the batch contract: \(3, 2\) for \(2, 3\)$"):
+        integrate(builtin("S3A"), bad, F(1, 8), 1)
+
+
 def test_initial_value_is_read_only():
     with pytest.raises(ValueError):
         problem("P1").u0[0] = 3.0
