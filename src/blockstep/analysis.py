@@ -46,6 +46,9 @@ residual_vector, residual_table, truncation_order and verify_conditions
 
 Linear stability: rho(A + z B) is the largest eigenvalue modulus of the
 double-precision Q(z), from numpy's LAPACK eigvals, for any block size s.
+A and B are real, so rho(conj z) = rho(z): on a box with
+im_range[0] == -im_range[1], stability_scan computes the upper half of the
+rows and mirrors them, within 1e-12 * max(1, rho) of a direct evaluation.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import factorial, isfinite
 from operator import mul
 from typing import NamedTuple
 
@@ -203,16 +206,26 @@ def stability_scan(scheme, re_range, im_range, grid_n):
     """Spectral radius of Q(z) on a grid_n x grid_n grid of z values.
 
     Returns (re_vals, im_vals, rho) with rho[i][j] the radius at
-    z = re_vals[j] + 1j * im_vals[i].  One batched eigvals call per grid
-    row keeps memory linear in grid_n.
+    z = re_vals[j] + 1j * im_vals[i], one batched eigvals call per computed
+    row.  A and B are real, so rho(conj z) = rho(z): if
+    im_range[0] == -im_range[1], row i < grid_n // 2 copies row
+    grid_n - 1 - i, which is rho at -im_vals[grid_n - 1 - i] (linspace is not
+    exactly antisymmetric), within 1e-12 * max(1, rho) of rho at im_vals[i].
+    A bound that is not finite, or a span hi - lo that overflows, is a
+    ValueError.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
+    for axis, (lo, hi) in (("re", re_range), ("im", im_range)):
+        if not isfinite(float(hi) - float(lo)):
+            raise ValueError(f"{axis} range ({lo}, {hi}) is not a finite span in double precision")
     re_vals = np.linspace(re_range[0], re_range[1], grid_n)
     im_vals = np.linspace(im_range[0], im_range[1], grid_n)
     A, B, _, _ = scheme.float_tables
     rho = np.empty((grid_n, grid_n))
-    for i, y in enumerate(im_vals):
-        Q = A + (re_vals + 1j * y)[:, None, None] * B
+    half = grid_n // 2 if im_range[0] == -im_range[1] else 0
+    for i in range(half, grid_n):
+        Q = A + (re_vals + 1j * im_vals[i])[:, None, None] * B
         rho[i] = np.abs(np.linalg.eigvals(Q)).max(axis=1)
+    rho[:half] = rho[::-1][:half]
     return re_vals, im_vals, rho

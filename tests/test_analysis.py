@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -285,6 +286,72 @@ def test_stability_scan_matches_pointwise_radius():
 def test_stability_scan_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="grid_n"):
         stability_scan(builtin("S2"), (-1, 0), (-1, 1), 1)
+
+
+@pytest.mark.parametrize("axis", ["re", "im"])
+@pytest.mark.parametrize(
+    "pair",
+    [(float("nan"), 1.0), (-1.0, float("nan")), (float("-inf"), 0.0), (0.0, float("inf")),
+     (-1e308, 1e308)],
+    ids=["nan-lo", "nan-hi", "-inf", "+inf", "span-overflows"],
+)
+def test_stability_scan_rejects_a_box_without_a_finite_span(axis, pair):
+    box = {"re": (-1.0, 0.0), "im": (-1.0, 1.0), axis: pair}
+    with pytest.raises(ValueError, match="^" + re.escape(f"{axis} range {pair} ")):
+        stability_scan(builtin("S2"), box["re"], box["im"], 3)
+
+
+STABILITY_SCHEMES = [*BUILTIN_NAMES, "S4"]
+
+
+def _scheme(name):
+    return _s4_scheme() if name == "S4" else builtin(name)
+
+
+def _row_oracle(sch, re_vals, y):
+    # rho on one grid row, computed directly with one eigvals call.
+    A, B, _, _ = sch.float_tables
+    return np.abs(np.linalg.eigvals(A + (re_vals + 1j * y)[:, None, None] * B)).max(axis=1)
+
+
+@pytest.mark.parametrize("name", STABILITY_SCHEMES)
+@pytest.mark.parametrize(
+    "re_range, h, n",
+    [((-3.0, 1.0), 3.0, 9), ((-2.5, 0.25), 1.5, 8), ((-2.0, 0.5), 2.0, 41), ((-1.0, 0.0), 0.5, 2)],
+    ids=["odd", "even", "h2-n41", "n2"],
+)
+def test_stability_scan_mirrors_a_box_symmetric_about_the_real_axis(name, re_range, h, n):
+    # rho(conj z) = rho(z) for real A and B; the lower rows are copies.
+    sch = _scheme(name)
+    re_vals, im_vals, rho = stability_scan(sch, re_range, (-h, h), n)
+    if n == 41:
+        assert (im_vals != -im_vals[::-1]).any()  # linspace is not antisymmetric here
+    for i in range(n // 2, n):
+        assert np.array_equal(rho[i], _row_oracle(sch, re_vals, im_vals[i]))
+    for i in range(n):
+        assert np.array_equal(rho[i], rho[n - 1 - i])
+        for j in range(n):
+            want = spectral_radius(sch, complex(re_vals[j], im_vals[i]))
+            assert abs(rho[i, j] - want) <= 1e-12 * max(1.0, want), (i, j)
+
+
+@pytest.mark.parametrize("name", STABILITY_SCHEMES)
+def test_stability_scan_computes_each_row_of_an_asymmetric_box(name):
+    sch = _scheme(name)
+    re_vals, im_vals, rho = stability_scan(sch, (-2.0, 0.5), (-1.0, 3.0), 9)
+    for i, y in enumerate(im_vals):
+        assert np.array_equal(rho[i], _row_oracle(sch, re_vals, y))
+
+
+@pytest.mark.parametrize("name", STABILITY_SCHEMES)
+def test_stability_scan_mirrors_a_reversed_symmetric_box(name):
+    sch = _scheme(name)
+    n = 9
+    re_vals, im_vals, rho = stability_scan(sch, (-2.0, 0.5), (3.0, -3.0), n)
+    assert im_vals[0] == 3.0 and im_vals[-1] == -3.0
+    for i in range(n):
+        k = max(i, n - 1 - i)
+        assert np.array_equal(rho[i], _row_oracle(sch, re_vals, im_vals[k]))
 
 
 def test_stability_scans_block_size_four():

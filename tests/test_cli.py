@@ -468,6 +468,10 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
         (["converge", "--T", "1e400"], "--T is too large for double precision"),
         (["stability", "--re=-1e400:1"], "--re is too large for double precision"),
         (["stability", "--im=0:1e400"], "--im is too large for double precision"),
+        # Each bound is a double but hi - lo is not: refused before numpy sees
+        # the box (pytest turns any warning into an error).
+        (["stability", "--re=-1e308:1e308"],
+         "re range (-1e+308, 1e+308) is not a finite span in double precision"),
         (["stability", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["converge", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["search", "--cin=1e-400,0", "--range=-1e500:1e500"],
@@ -475,7 +479,7 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
     ],
     ids=["integrate-dt-small", "integrate-dt-large", "integrate-T-large", "converge-T-small",
          "converge-dts-small", "converge-dts-large", "converge-T-large", "stability-re",
-         "stability-im", "stability-file", "converge-file", "search-root"],
+         "stability-im", "stability-span", "stability-file", "converge-file", "search-root"],
 )
 def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, argv, message):
     doc = {"name": "big", "s": 2, "c_in": ["1/2", "0"], "c_out": ["3/2", "1"],
