@@ -212,7 +212,8 @@ def stability_scan(scheme, re_range, im_range, grid_n):
     grid_n - 1 - i, which is rho at -im_vals[grid_n - 1 - i] (linspace is not
     exactly antisymmetric), within 1e-12 * max(1, rho) of rho at im_vals[i].
     A bound that is not finite, or a span hi - lo that overflows, is a
-    ValueError.
+    ValueError, and so is a box on which Q(z) overflows; the entries of
+    Q are affine in Re z and Im z, so its four corners decide that.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -222,6 +223,11 @@ def stability_scan(scheme, re_range, im_range, grid_n):
     re_vals = np.linspace(re_range[0], re_range[1], grid_n)
     im_vals = np.linspace(im_range[0], im_range[1], grid_n)
     A, B, _, _ = scheme.float_tables
+    corners = (re_vals[[0, -1]] + 1j * im_vals[[0, -1], None]).reshape(4, 1, 1)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(A + corners * B).all():
+            box = f"re {tuple(re_range)}, im {tuple(im_range)}"
+            raise ValueError(f"A + z B overflows double precision on the box {box}")
     rho = np.empty((grid_n, grid_n))
     half = grid_n // 2 if im_range[0] == -im_range[1] else 0
     for i in range(half, grid_n):

@@ -38,31 +38,28 @@ from fractions import Fraction
 
 from . import analysis
 from .exact import ExactMatrix, ExactVector, as_vector, dot, over_lcm, solve_linear
-from .scheme import Scheme, check_abscissae
+from .scheme import Scheme
 
 
 def _abscissae(s: int, c_in, c_out):
-    """The checked abscissae of an s-stage design, as Fraction tuples.
+    """The abscissae of an s-stage design, as Fraction tuples.
 
     Every entry point takes its abscissae through here.  c_in defaults to
-    the evenly spaced ((s-1)/s, ..., 1/s, 0) and c_out to c_in + 1.  Both
-    must have length s, c_in no repeated entry (its moment matrix would be
-    singular), and both must pass check_abscissae as a Scheme's do.
+    the evenly spaced ((s-1)/s, ..., 1/s, 0) and c_out to c_in + 1.  c_in
+    must have length s and no repeated entry (a singular moment matrix);
+    the solve reads only c_in, and the Scheme _assemble builds checks the rest.
     """
     c_in = tuple(Fraction(s - 1 - j, s) for j in range(s)) if c_in is None else as_vector(c_in)
     c_out = tuple(c + 1 for c in c_in) if c_out is None else as_vector(c_out)
     if len(c_in) != s:
         raise ValueError(f"dimension mismatch: c_in has {len(c_in)} entries, need s = {s}")
-    if len(c_out) != s:
-        raise ValueError(f"abscissae must have length s={s}")
     if len(set(c_in)) != s:
         raise ValueError("singular moment matrix")
-    check_abscissae(c_in, c_out)
     return c_in, c_out
 
 
 def _assemble(c_in, c_out, A, moments, name: str) -> Scheme:
-    """Scheme with the checked abscissae, this A and the unique B with d_p = 0
+    """Scheme with these abscissae, this A and the unique B with d_p = 0
     for p = 1..s, solved on the integer system of the module docstring.
 
     moments(v) is A v for an integer vector v, so a shared row is one dot.

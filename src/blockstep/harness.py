@@ -63,7 +63,7 @@ def fit_slope(points) -> float:
     """Least-squares slope of log2(err) against log2(dt).
 
     Nonpositive error values cannot enter the log fit; they are dropped with
-    a warning, and fewer than three surviving points is an error.
+    a warning.  Fewer than three kept points or two distinct dts is an error.
     """
     pts = list(points)
     kept = [(d, e) for d, e in pts if e > 0]
@@ -75,6 +75,8 @@ def fit_slope(points) -> float:
     if len(kept) < 3:
         raise ValueError("need >=3 dt values")
     x = np.log2([d for d, _ in kept])
+    if len(set(x.tolist())) < 2:
+        raise ValueError("need >=2 distinct dt values")
     y = np.log2([e for _, e in kept])
     dx = x - x.mean()
     dy = y - y.mean()

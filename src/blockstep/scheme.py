@@ -48,7 +48,15 @@ class Scheme:
         for label, M in (("A", self.A), ("B", self.B)):
             if len(M) != s or any(len(row) != s for row in M):
                 raise ValueError(f"{label} not square of size s")
-        check_abscissae(self.c_in, self.c_out)
+        c_in, c_out = self.c_in, self.c_out
+        if any(c_in[i] <= c_in[i + 1] for i in range(s - 1)):
+            raise ValueError("abscissae not descending (c_in)")
+        if any(c_out[i] <= c_out[i + 1] for i in range(s - 1)):
+            raise ValueError("abscissae not descending (c_out)")
+        if c_in[s - 1] != 0:
+            raise ValueError("last input abscissa must be 0")
+        if any(c_out[i] <= c_in[i] for i in range(s)):
+            raise ValueError("output abscissae must exceed input abscissae")
 
     @property
     def marches(self) -> bool:
@@ -83,20 +91,6 @@ class Scheme:
         per instance, so no Fraction is hashed and equality, hashing and
         save/load ignore it."""
         return {}
-
-
-def check_abscissae(c_in, c_out) -> None:
-    """Raise ValueError unless c_in and c_out (of equal length s) descend,
-    c_in ends at 0, and each output abscissa exceeds its input one."""
-    s = len(c_in)
-    if any(c_in[i] <= c_in[i + 1] for i in range(s - 1)):
-        raise ValueError("abscissae not descending (c_in)")
-    if any(c_out[i] <= c_out[i + 1] for i in range(s - 1)):
-        raise ValueError("abscissae not descending (c_out)")
-    if c_in[s - 1] != 0:
-        raise ValueError("last input abscissa must be 0")
-    if any(c_out[i] <= c_in[i] for i in range(s)):
-        raise ValueError("output abscissae must exceed input abscissae")
 
 
 def make_scheme(name, c_in, c_out, A, B) -> Scheme:

@@ -301,6 +301,19 @@ def test_stability_scan_rejects_a_box_without_a_finite_span(axis, pair):
         stability_scan(builtin("S2"), box["re"], box["im"], 3)
 
 
+@pytest.mark.parametrize(
+    "re_range, im_range",
+    [((-1e308, 0.0), (-1.0, 1.0)), ((-1.0, 0.0), (0.0, 1e308))],
+    ids=["re", "im"],
+)
+def test_stability_scan_rejects_a_box_on_which_q_overflows(re_range, im_range):
+    # Each span is finite but |z| * max|B| is not: refused before any eigvals
+    # call, with no overflow warning (pytest turns any warning into an error).
+    message = f"A + z B overflows double precision on the box re {re_range}, im {im_range}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        stability_scan(builtin("S2"), re_range, im_range, 3)
+
+
 STABILITY_SCHEMES = [*BUILTIN_NAMES, "S4"]
 
 

@@ -472,6 +472,9 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
         # the box (pytest turns any warning into an error).
         (["stability", "--re=-1e308:1e308"],
          "re range (-1e+308, 1e+308) is not a finite span in double precision"),
+        # The span is finite but Q = A + z B is not at the box's corner.
+        (["stability", "--re=-1e308:0", "--n", "3"],
+         "A + z B overflows double precision on the box re (-1e+308, 0.0), im (-3.0, 3.0)"),
         (["stability", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["converge", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["search", "--cin=1e-400,0", "--range=-1e500:1e500"],
@@ -479,7 +482,8 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
     ],
     ids=["integrate-dt-small", "integrate-dt-large", "integrate-T-large", "converge-T-small",
          "converge-dts-small", "converge-dts-large", "converge-T-large", "stability-re",
-         "stability-im", "stability-span", "stability-file", "converge-file", "search-root"],
+         "stability-im", "stability-span", "stability-overflow", "stability-file",
+         "converge-file", "search-root"],
 )
 def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, argv, message):
     doc = {"name": "big", "s": 2, "c_in": ["1/2", "0"], "c_out": ["3/2", "1"],

@@ -179,6 +179,7 @@ MALFORMED = {
     "c_out-not-above-c_in": lambda c: (c, c),
     "repeated-c_out": lambda c: (c, (2,) * len(c)),
     "length-mismatch": lambda c: (c, tuple(x + 1 for x in c)[1:]),
+    "c_out-longer-than-s": lambda c: (c, (c[0] + 2,) + tuple(x + 1 for x in c)),
 }
 
 

@@ -43,6 +43,16 @@ def test_fit_slope_needs_three_points():
         fit_slope([(0.1, 1e-3), (0.05, 1e-4)])
 
 
+def test_fit_slope_needs_two_distinct_dts():
+    # Every dx would be 0, and the slope 0 / 0.
+    with pytest.raises(ValueError, match="need >=2 distinct dt values"):
+        fit_slope([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
+    with pytest.warns(UserWarning, match="excluded 1 nonpositive"):
+        with pytest.raises(ValueError, match="need >=2 distinct dt values"):
+            fit_slope([(0.25, 0.0), (0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
+    assert fit_slope([(0.25, 1.0), (0.5, 2.0), (0.5, 2.0)]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fit_slope_drops_nonpositive_with_warning():
     pts = [(0.125, 1e-3), (0.0625, 1e-4), (0.03125, 1e-5), (0.015625, 0.0)]
     with pytest.warns(UserWarning, match="excluded 1 nonpositive"):
