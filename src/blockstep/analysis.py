@@ -198,7 +198,7 @@ def verify_conditions(scheme: Scheme) -> VerificationReport:
 
 def spectral_radius(scheme: Scheme, z: complex) -> float:
     """rho(Q(z)), Q(z) = A + z B in double precision (z = lambda * dt)."""
-    A, B, _, _ = scheme.float_tables
+    A, B, _ = scheme.float_tables
     return float(np.abs(np.linalg.eigvals(A + complex(z) * B)).max())
 
 
@@ -212,8 +212,9 @@ def stability_scan(scheme, re_range, im_range, grid_n):
     grid_n - 1 - i, which is rho at -im_vals[grid_n - 1 - i] (linspace is not
     exactly antisymmetric), within 1e-12 * max(1, rho) of rho at im_vals[i].
     A bound that is not finite, or a span hi - lo that overflows, is a
-    ValueError, and so is a box on which Q(z) overflows; the entries of
-    Q are affine in Re z and Im z, so its four corners decide that.
+    ValueError, and so is a box on which Q(z) overflows (the entries of
+    Q are affine in Re z and Im z, so its four corners decide that) or,
+    after the scan, on which a radius is not finite.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -222,11 +223,11 @@ def stability_scan(scheme, re_range, im_range, grid_n):
             raise ValueError(f"{axis} range ({lo}, {hi}) is not a finite span in double precision")
     re_vals = np.linspace(re_range[0], re_range[1], grid_n)
     im_vals = np.linspace(im_range[0], im_range[1], grid_n)
-    A, B, _, _ = scheme.float_tables
+    A, B, _ = scheme.float_tables
+    box = f"re {tuple(re_range)}, im {tuple(im_range)}"
     corners = (re_vals[[0, -1]] + 1j * im_vals[[0, -1], None]).reshape(4, 1, 1)
     with np.errstate(over="ignore"):
         if not np.isfinite(A + corners * B).all():
-            box = f"re {tuple(re_range)}, im {tuple(im_range)}"
             raise ValueError(f"A + z B overflows double precision on the box {box}")
     rho = np.empty((grid_n, grid_n))
     half = grid_n // 2 if im_range[0] == -im_range[1] else 0
@@ -234,4 +235,6 @@ def stability_scan(scheme, re_range, im_range, grid_n):
         Q = A + (re_vals + 1j * im_vals[i])[:, None, None] * B
         rho[i] = np.abs(np.linalg.eigvals(Q)).max(axis=1)
     rho[:half] = rho[::-1][:half]
+    if not np.isfinite(rho).all():
+        raise ValueError(f"spectral radius of A + z B is not finite on the box {box}")
     return re_vals, im_vals, rho

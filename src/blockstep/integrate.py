@@ -10,20 +10,21 @@ Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
 One kernel, _advance, makes that step, with both finiteness checks, for one
-block (step) or for a stack of blocks (march), at the row times n dt + c_j dt
-that _row_times alone computes, and builds the combine in place in one result
-array.  march is the one stepping loop: it runs a dt ladder in lockstep, one
-rhs call and one combine per time level, takes the row times of every lane
-for _CHUNK levels at a time from one _row_times call, and keeps every block
-of every run, bit for bit those of separate runs; integrate is march on one
-lane.  _grid decides each run's step count, at most 2^53, on dt and T exactly
-as given (dt = 1/3 reaches T = 5/3), and is the one check of a step size
-(bootstrap and step ask it with T = 0); exact.to_double renders each value
-to double once, naming a value that leaves double range.
+block (step), a stack of lanes (march) or every exact block (measure_lte), at
+the row times n dt + c_j dt that _row_times alone computes, and builds the
+combine in place in one result array.  march is the one stepping loop: it
+runs a dt ladder in lockstep, one rhs call and one combine per time level,
+takes the row times of every lane for _CHUNK levels at a time from one
+_row_times call, and keeps every block of every run, bit for bit those of
+separate runs; integrate is march on one lane.  _grid decides each run's step
+count, at most 2^53, on dt and T exactly as given (dt = 1/3 reaches T = 5/3),
+and is the one check of a step size (bootstrap and step ask it with T = 0);
+exact.to_double renders each value to double once, naming a value that
+leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
-doubling-verified RK4 reference oracle, and measurement of the local
-truncation error of the exact solution under a scheme, over all steps at once.
+doubling-verified RK4 reference oracle, and the local truncation error, the
+kernel's defect on the exact blocks, measured over all steps at once.
 
 All classical RK4 work goes through one forward march, _rk4_sweep, which
 serves any times in [0, T] in increasing order, each off its grid by one
@@ -118,25 +119,19 @@ def _row_times(c, n, dt):
     return n * dt + c * dt
 
 
-def _rhs(prob: Problem, times, rows: np.ndarray) -> np.ndarray:
-    """prob.rhs on the columns of rows, (dim, k), at times; the one check of its shape."""
-    F = prob.rhs(times, rows)
-    if F.shape != rows.shape:
-        raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
-    return F
-
-
 def _advance(scheme: Scheme, prob: Problem, n: int, V: np.ndarray, dt, times) -> np.ndarray:
     """The block step A V + dt B F(V) for blocks n, in one rhs call at their row times.
 
-    V is one block (s, dim) with step dt, or a stack of lanes (L, s, dim)
-    with dt of shape (L, 1, 1); times holds the row times of every row of
-    every lane, lane-major, as _row_times gives them.  The combine is made
-    in place: dt B F is scaled, then A V added, in the one result array.
+    V is one block (s, dim), or a stack (L, s, dim) with dt one double or
+    of shape (L, 1, 1); times holds the row times of every row of the stack,
+    in its order, as _row_times gives them.  Here alone the rhs shape is
+    checked, and the combine made in place: dt B F, then + A V.
     """
-    A, B, _, _ = scheme.float_tables
-    rows = V.reshape(-1, V.shape[-1]).T  # every row of every lane as a column
-    F = _rhs(prob, times, rows)
+    A, B, _ = scheme.float_tables
+    rows = V.reshape(-1, V.shape[-1]).T  # every row of the stack as a column
+    F = prob.rhs(times, rows)
+    if F.shape != rows.shape:
+        raise ValueError(f"rhs breaks the batch contract: {F.shape} for {rows.shape}")
     if np.count_nonzero(np.isfinite(F)) < F.size:  # cheaper per level than .all()
         raise ValueError(f"non-finite state at step {n + 1}")
     values = np.matmul(B, F.T.reshape(V.shape))
@@ -344,15 +339,16 @@ def _closed_form(prob: Problem, t: np.ndarray) -> np.ndarray:
 def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
     """Max |tau_n| per block component over all steps to T.
 
-    tau_n = (U_{n+1} - A U_n - dt B F(U_n)) / dt with both blocks built from
-    the exact solution; requires the problem to have one, finite throughout.
+    tau_n = (U_{n+1} - A U_n - dt B F(U_n)) / dt, the kernel's defect on
+    the exact blocks U_n, each at the kernel's row times n dt + c_in dt:
+    one exact call and one _advance of blocks 0..N-1.  The scheme must
+    march, and the exact solution and the rhs on it must be finite.
     """
+    _check_marches(scheme)
     if prob.exact is None:
         raise ValueError("missing exact solution")
     n_steps, dtf = _grid(dt, T)
-    A, B, c_in, c_out = scheme.float_tables
-    t_in, t_out = (_row_times(c, np.arange(n_steps)[:, None], dtf) for c in (c_in, c_out))
-    U, U1 = _closed_form(prob, t_in), _closed_form(prob, t_out)  # (dim, N, s)
-    F = _rhs(prob, t_in.ravel(), U.reshape(prob.dim, -1)).reshape(U.shape)
-    tau = (U1 - U @ A.T - dtf * (F @ B.T)) / dtf
-    return np.abs(tau).max(axis=(0, 1), initial=0.0)
+    times = _row_times(scheme.float_tables[2], np.arange(n_steps + 1)[:, None], dtf)
+    U = _closed_form(prob, times).transpose(1, 2, 0)  # (N + 1, s, dim)
+    tau = (U[1:] - _advance(scheme, prob, 0, U[:-1], dtf, times[:-1].ravel())) / dtf
+    return np.abs(tau).max(axis=(0, 2), initial=0.0)

@@ -8,7 +8,8 @@ A scheme advances a block of s solution values sitting at staggered offsets
 with s x s coefficient matrices A and B held exactly as rationals.  Input
 abscissae c_in and output abscissae c_out are stored explicitly, in units of
 the block step dt, largest first; the last input abscissa is always 0 (the
-base time itself).  All float code reads a scheme through Scheme.float_tables;
+base time itself).  Float code reads A, B and c_in through Scheme.float_tables
+(a marching block's output rows are the next one's input rows);
 blockstep.analysis keeps what it computes exactly in Scheme.exact_memo.
 """
 
@@ -66,21 +67,18 @@ class Scheme:
 
     @cached_property
     def float_tables(self):
-        """Read-only (A, B, c_in, c_out) rounded to double, once per scheme;
-        an entry beyond double range, or one that rounds to 0.0, is an error
-        naming it (A[0][1])."""
+        """Read-only (A, B, c_in) rounded to double, once per scheme (no float
+        code reads c_out); an entry beyond double range, or one that rounds
+        to 0.0, is an error naming it (A[0][1])."""
         A, B = (
             np.array([[to_double(x, f"{label}[{i}][{j}]") for j, x in enumerate(row)]
                       for i, row in enumerate(M)])
             for label, M in (("A", self.A), ("B", self.B))
         )
-        c_in, c_out = (
-            np.array([to_double(x, f"{label}[{j}]") for j, x in enumerate(c)])
-            for label, c in (("c_in", self.c_in), ("c_out", self.c_out))
-        )
-        for arr in (A, B, c_in, c_out):
+        c_in = np.array([to_double(x, f"c_in[{j}]") for j, x in enumerate(self.c_in)])
+        for arr in (A, B, c_in):
             arr.setflags(write=False)
-        return A, B, c_in, c_out
+        return A, B, c_in
 
     @cached_property
     def exact_memo(self) -> dict:

@@ -262,7 +262,7 @@ def test_spectral_radius_matches_exact_characteristic_polynomial():
 
 def test_power_iteration_agrees_with_radius():
     s2 = builtin("S2")
-    A, B, _, _ = s2.float_tables
+    A, B, _ = s2.float_tables
     v = np.ones(2)
     decayed = np.linalg.matrix_power(A - 0.1 * B, 60) @ v
     grew = np.linalg.matrix_power(A + 0.1 * B, 60) @ v
@@ -314,6 +314,19 @@ def test_stability_scan_rejects_a_box_on_which_q_overflows(re_range, im_range):
         stability_scan(builtin("S2"), re_range, im_range, 3)
 
 
+@pytest.mark.parametrize(
+    "im_range", [(-7.8e307, 7.8e307), (0.0, 7.8e307)], ids=["mirrored", "per-row"]
+)
+def test_stability_scan_rejects_a_box_on_which_the_radius_is_not_finite(im_range):
+    # Q = A + z B is finite at every corner, but at the corners far from 0
+    # its radius is NaN: refused after the scan, on the mirrored half-scan
+    # of a symmetric box as on the per-row scan, with no warning.
+    re_range = (-7.8e307, 0.0)
+    message = f"spectral radius of A + z B is not finite on the box re {re_range}, im {im_range}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        stability_scan(builtin("S2"), re_range, im_range, 3)
+
+
 STABILITY_SCHEMES = [*BUILTIN_NAMES, "S4"]
 
 
@@ -323,7 +336,7 @@ def _scheme(name):
 
 def _row_oracle(sch, re_vals, y):
     # rho on one grid row, computed directly with one eigvals call.
-    A, B, _, _ = sch.float_tables
+    A, B, _ = sch.float_tables
     return np.abs(np.linalg.eigvals(A + (re_vals + 1j * y)[:, None, None] * B)).max(axis=1)
 
 

@@ -475,6 +475,10 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
         # The span is finite but Q = A + z B is not at the box's corner.
         (["stability", "--re=-1e308:0", "--n", "3"],
          "A + z B overflows double precision on the box re (-1e+308, 0.0), im (-3.0, 3.0)"),
+        # Q is finite on the box but its radius is not at the far corners.
+        (["stability", "--re=-7.8e307:0", "--im=-7.8e307:7.8e307", "--n", "3"],
+         "spectral radius of A + z B is not finite on the box re (-7.8e+307, 0.0), "
+         "im (-7.8e+307, 7.8e+307)"),
         (["stability", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["converge", "--scheme", "{big}"], "A[0][1] is too large for double precision"),
         (["search", "--cin=1e-400,0", "--range=-1e500:1e500"],
@@ -482,7 +486,7 @@ def test_values_beyond_double_range_are_an_error(tmp_path, capsys, argv):
     ],
     ids=["integrate-dt-small", "integrate-dt-large", "integrate-T-large", "converge-T-small",
          "converge-dts-small", "converge-dts-large", "converge-T-large", "stability-re",
-         "stability-im", "stability-span", "stability-overflow", "stability-file",
+         "stability-im", "stability-span", "stability-overflow", "stability-nan", "stability-file",
          "converge-file", "search-root"],
 )
 def test_values_beyond_double_range_name_the_flag_or_entry(tmp_path, capsys, argv, message):

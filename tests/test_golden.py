@@ -205,10 +205,10 @@ FILE_GOLDEN = {
         GOLDEN["S2", "P1"] + "wrote {path}\n",
         """\
 dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1
-0.125,0.00022855571802621322,0.00041269968591317596,0.019934134644570278,0.0029315647827758973
-0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878336282,0.00082599614685396894
-0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146549114,0.00021965214272756661
-0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547915173,5.6664185929200528e-05
+0.125,0.00022855571802621322,0.00041269968591317596,0.019934134644572055,0.0029315647827772295
+0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878331841,0.00082599614685463507
+0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146557996,0.00021965214272867684
+0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547959581,5.6664185926535993e-05
 """,
     ),
     # The P2 errors at full precision pin the RK4 reference values they are

@@ -224,6 +224,26 @@ def test_the_oracle_is_asked_at_the_kernels_own_row_times(sch_name):
         assert (len(rhs), bytes(rhs[0]), bytes(rhs[n])) == (n + 1, bytes(start), bytes(final))
 
 
+@pytest.mark.parametrize("sch_name", BUILTIN_NAMES)
+def test_measure_lte_is_asked_at_the_kernels_own_row_times(sch_name):
+    # measure_lte's exact blocks sit where march's level-k rhs call puts
+    # block k, bit for bit, on a non-dyadic ladder; its own rhs call is at
+    # blocks 0..N-1 of the same times.
+    sch = builtin(sch_name)
+    prob, calls = _recording(problem("P4"))
+    for dt in (F(1, 3), F(1, 5), F(1, 7)):
+        n = dt.denominator  # steps to T = 1
+        calls.clear()
+        integrate.measure_lte(sch, prob, dt, 1)
+        (_, exact), (_, lte_rhs) = calls
+        calls.clear()
+        march(sch, prob, [dt], (n + 1) * dt, [problem("P4").exact(exact[0]).T])
+        rhs = [t for what, t in calls if what == "rhs"]
+        assert exact.shape == (n + 1, sch.s) and len(rhs) == n + 1
+        assert [bytes(row) for row in exact] == [bytes(t) for t in rhs], dt
+        assert bytes(lte_rhs) == bytes(exact[:-1])
+
+
 def test_converge_rejects_a_scheme_that_does_not_march_before_any_work():
     s2 = builtin("S2")
     stuck = make_scheme("stuck", s2.c_in, (F(2), F(1)), s2.A, s2.B)  # c_out[0] = c_in[0] + 3/2
@@ -250,18 +270,23 @@ def test_sweep_reference_matches_a_hidden_closed_form(scheme, name):
 
 def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
     # One call serves every reference and starting row; measure_lte makes
-    # two per dt (one per block side).
+    # one per dt, at the kernel's row times n dt + c dt of blocks 0..N.
     prob = problem("P4")
     calls = []
 
     def exact(t):
-        calls.append(t)
+        calls.append(np.array(t, dtype=float))
         return prob.exact(t)
 
+    sch = builtin("S3A")
     dts = (0.125, 0.0625, 0.03125, 0.015625)
-    converge(builtin("S3A"), dataclasses.replace(prob, exact=exact), dts=dts)
-    assert len(calls) == 1 + 2 * len(dts)
+    converge(sch, dataclasses.replace(prob, exact=exact), dts=dts)
+    assert len(calls) == 1 + len(dts)
     assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and c dt, c in c_in
+    c_in = sch.float_tables[2]
+    for dt, times in zip(dts, calls[1:]):
+        n = np.arange(round(1 / dt) + 1)[:, None]
+        assert times.shape == (len(n), 3) and times.tobytes() == (n * dt + c_in * dt).tobytes()
 
 
 def _counted(monkeypatch, module, name):

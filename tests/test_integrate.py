@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blockstep import integrate as integrate_module
+from blockstep.derive import assemble
 from blockstep.harness import STANDARD_DTS
 from blockstep.integrate import (
     PROBLEM_NAMES,
@@ -161,7 +162,7 @@ def test_batched_step_equals_a_per_row_rhs_evaluation():
     for prob in (problem("P2"), forced):
         for name in BUILTIN_NAMES:
             sch = builtin(name)
-            A, B, c_in, _ = sch.float_tables
+            A, B, c_in = sch.float_tables
             for dt in (0.125, 1 / 3, 0.0078125):
                 for n in range(20):
                     V = rng.uniform(-3.0, 3.0, size=(sch.s, 2))
@@ -790,7 +791,8 @@ def _measure_lte_rows(scheme, prob, dt, T):
     # scalar exact and single-state rhs calls, one step at a time.  Returns
     # the per-component max |tau| and the largest |u| it saw.
     dtf = float(dt)
-    A, B, c_in, c_out = scheme.float_tables
+    A, B, c_in = scheme.float_tables
+    c_out = [float(c) for c in scheme.c_out]
     worst, umax = np.zeros(scheme.s), 0.0
     for n in range(round(T / dtf)):
         tn = n * dtf
@@ -845,6 +847,24 @@ def test_bootstrap_names_a_start_row_where_the_exact_solution_is_not_finite():
                     lambda: integrate(builtin("S2"), prob, 1 / 8, 1)):
             with pytest.raises(ValueError, match=r"non-finite exact solution at t = 0\.0625$"):
                 run()
+
+
+def test_lte_refuses_a_scheme_that_does_not_march():
+    # c_out = (7/4, 1) is not c_in + 1: the kernel cannot step it, so it
+    # has no defect on the exact blocks to measure.
+    sch = assemble([F(-2, 23), F(25, 23)], [F(1, 2), 0], [F(7, 4), 1])
+    with pytest.raises(ValueError, match="^scheme does not march"):
+        measure_lte(sch, problem("P1"), F(1, 8), 1.0)
+
+
+def test_lte_raises_on_an_rhs_that_is_not_finite_on_the_exact_blocks():
+    # The exact solution is finite; the rhs is NaN past t = 1/2.  The
+    # kernel's finiteness check refuses it instead of returning NaN.
+    prob = problem("P1")
+    bad = dataclasses.replace(prob, rhs=lambda t, u: np.where(t > 0.5, np.nan, prob.rhs(t, u)))
+    for name in ("S2", "S3A"):
+        with pytest.raises(ValueError, match="^non-finite state at step"):
+            measure_lte(builtin(name), bad, F(1, 8), 1.0)
 
 
 def test_lte_is_negligible_for_constants():

@@ -236,7 +236,7 @@ def test_block_size_is_read_off_the_input_abscissae():
 
 def test_float_tables_are_cached_and_read_only():
     sch = builtin("S3A")
-    A, B, c_in, c_out = first = sch.float_tables
+    A, B, c_in = first = sch.float_tables
     assert all(x is y for x, y in zip(sch.float_tables, first))
     assert A[0, 0] == 467 / 768 and c_in.tolist() == [2 / 3, 1 / 3, 0.0]
     for arr in first:
