@@ -3,7 +3,9 @@
 Everything here avoids the package's own residual formula so that tests
 compare two genuinely different routes: schemes applied to exact polynomial
 data versus the package's Taylor-coefficient vectors.  gbs_solve likewise
-solves an initial-value problem without the package's RK4 code.
+solves an initial-value problem without the package's RK4 code, and
+rk4_sweep is the RK4 march on numpy arrays that the package's march on
+Python floats must reproduce bit for bit.
 """
 
 import math
@@ -119,4 +121,32 @@ def gbs_solve(rhs, u0, times, H=0.125, rows=8):
             a, b = t + (end - t) * k / m, t + (end - t) * (k + 1) / m
             u = _gbs_step(rhs, a, u, b - a, rows)
         t, out[i] = end, u
+    return out
+
+
+def rk4_step(rhs, t, u, h):
+    """One classical RK4 step on numpy arrays, each stage and the combine an
+    elementwise ufunc: the formula whose values the package's RK4 step on
+    Python floats must give bit for bit."""
+    k1 = np.asarray(rhs(t, u), dtype=float)
+    k2 = np.asarray(rhs(t + h / 2, u + (h / 2) * k1), dtype=float)
+    k3 = np.asarray(rhs(t + h / 2, u + (h / 2) * k2), dtype=float)
+    k4 = np.asarray(rhs(t + h, u + h * k3), dtype=float)
+    return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_sweep(prob, T, n, times):
+    """The RK4 march of n steps of T / n on arrays, one row per time in
+    times: each time is served off the grid value before it, by one
+    rk4_step of the remainder, or as that value when it lies on the grid;
+    T is grid point n exactly.  n = 0 (T = 0) serves u0."""
+    h = T / max(n, 1)
+    grid = [k * h for k in range(n)] + [T]
+    out = np.empty((len(times), prob.dim))
+    for i, t in enumerate(times):
+        k = max(k for k in range(n + 1) if grid[k] <= t)
+        u = prob.u0.copy()
+        for j in range(k):
+            u = rk4_step(prob.rhs, j * h, u, h)
+        out[i] = u if t == grid[k] else rk4_step(prob.rhs, grid[k], u, t - grid[k])
     return out

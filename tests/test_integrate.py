@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from _oracle_util import rk4_step, rk4_sweep
 
 from blockstep import integrate as integrate_module
 from blockstep.derive import assemble
@@ -303,14 +304,7 @@ def test_bootstrap_rejects_non_positive_substep_count():
 def _bootstrap_substeps(scheme, prob, dt, n_sub):
     # The per-interval RK4 loop the single bootstrap march replaced, kept as
     # its oracle: n_sub substeps from each abscissa to the next, the step
-    # count restarting at each row.
-    def rk4(t, u, h):
-        k1 = np.asarray(prob.rhs(t, u), dtype=float)
-        k2 = np.asarray(prob.rhs(t + h / 2, u + (h / 2) * k1), dtype=float)
-        k3 = np.asarray(prob.rhs(t + h / 2, u + (h / 2) * k2), dtype=float)
-        k4 = np.asarray(prob.rhs(t + h, u + h * k3), dtype=float)
-        return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
+    # count restarting at each row, each step on numpy arrays.
     c_in = scheme.float_tables[2].tolist()
     values = np.empty((scheme.s, prob.dim))
     u = values[-1] = prob.u0
@@ -319,7 +313,7 @@ def _bootstrap_substeps(scheme, prob, dt, n_sub):
         t_start = c_prev * dt
         h = (c_in[j] - c_prev) * dt / n_sub
         for k in range(n_sub):
-            u = rk4(t_start + k * h, u, h)
+            u = rk4_step(prob.rhs, t_start + k * h, u, h)
         values[j] = u
         c_prev = c_in[j]
     return values
@@ -329,13 +323,14 @@ def _bootstrap_substeps(scheme, prob, dt, n_sub):
 @pytest.mark.parametrize("dt", [0.125, 1 / 3, 0.1, 0.0078125])
 def test_bootstrap_march_equals_the_per_interval_loop(dt, n_sub):
     # Evenly spaced abscissae: the march's step length and grid times are
-    # the loop's, so the rows agree bit for bit.
+    # the loop's, and its steps on floats are the loop's on arrays, so the
+    # rows agree bit for bit.
     for prob in (problem("P2"), _forced()):
         for name in BUILTIN_NAMES:
             sch = builtin(name)
             rows = bootstrap(sch, prob, dt, n_sub=n_sub)
-            assert np.array_equal(rows, _bootstrap_substeps(sch, prob, dt, n_sub)), (
-                prob.name, name)
+            oracle = _bootstrap_substeps(sch, prob, dt, n_sub)
+            assert rows.tobytes() == oracle.tobytes(), (prob.name, name)
 
 
 def test_bootstrap_march_on_uneven_abscissae_stays_within_rounding():
@@ -699,6 +694,60 @@ def test_a_zero_step_sweep_serves_the_initial_value():
     assert rows.tobytes() == np.array([prob.u0, prob.u0]).tobytes()
 
 
+def _linear3():
+    # A dim-3 linear system with a rotation and a decay: no component is
+    # another's copy, and M @ u serves both the batched and the scalar form.
+    M = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.25, 0.0, -0.3]])
+    return make_problem("linear3", lambda t, u: M @ u, None, [1.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "forced", "linear3"])
+def test_rk4_sweep_equals_the_array_march_bit_for_bit(name, n):
+    # The march steps on Python floats; the oracle makes the same steps on
+    # numpy arrays.  Off-grid times, grid times (h = 1/3 is not dyadic), a
+    # duplicate, 0 and T itself get the same bytes.
+    prob = {"forced": _forced, "linear3": _linear3}.get(name, lambda: problem(name))()
+    h = 1.0 / n
+    times = [0.61803, 0.0, (n // 2) * h, h, 0.37, 0.61803, 1.0, 0.9]
+    rows = integrate_module._rk4_sweep(prob, 1.0, n, times)
+    assert rows.tobytes() == rk4_sweep(prob, 1.0, n, times).tobytes()
+    zero = integrate_module._rk4_sweep(prob, 0.0, 0, [0.0, 0.0])
+    assert zero.tobytes() == rk4_sweep(prob, 0.0, 0, [0.0, 0.0]).tobytes()
+
+
+def test_the_rk4_rhs_gets_a_fresh_float_array_at_a_float_time():
+    calls = []
+
+    def rhs(t, u):
+        calls.append((t, u))
+        return -u
+
+    prob = make_problem("decay", rhs, None, [1.0, 2.0])
+    calls.clear()  # drop make_problem's batched probe
+    integrate_module._rk4_sweep(prob, 1.0, 4, [0.3, 1.0])
+    assert len(calls) == 4 * 5  # four grid steps and one partial step
+    assert all(type(t) is float for t, _ in calls)
+    assert all(u.dtype == np.float64 and u.shape == (2,) for _, u in calls)
+    assert len({id(u) for _, u in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+def test_rk4_rejects_an_rhs_result_of_the_wrong_shape_at_a_scalar_time(shape):
+    # The batched form passes make_problem; at a scalar t the result has
+    # another shape.  Broadcast on arrays, a (1,) result turned u' = -u0
+    # from (1, 2) into rows like (0.368, 1.368); on floats zip would drop
+    # components.  Both RK4 entry points refuse it.
+    prob = make_problem(
+        "narrow", lambda t, u: -u if np.ndim(t) else np.full(shape, -u[0]), None, [1.0, 2.0]
+    )
+    message = re.escape(f"rhs breaks the contract at a scalar t: {shape} for (2,)")
+    with pytest.raises(ValueError, match=message):
+        rk4_reference(prob, 1.0, [1.0])
+    with pytest.raises(ValueError, match=message):
+        bootstrap(builtin("S3A"), prob, 0.125)
+
+
 def test_rk4_reference_checks_every_requested_time(monkeypatch):
     # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
@@ -859,12 +908,15 @@ def test_lte_refuses_a_scheme_that_does_not_march():
 
 def test_lte_raises_on_an_rhs_that_is_not_finite_on_the_exact_blocks():
     # The exact solution is finite; the rhs is NaN past t = 1/2.  The
-    # kernel's finiteness check refuses it instead of returning NaN.
+    # kernel's finiteness check refuses it instead of returning NaN, and
+    # names the step integrate names: k + 1 for the first bad block k, here
+    # block 4, whose first row 4/8 + c_0/8 is past 1/2.
     prob = problem("P1")
     bad = dataclasses.replace(prob, rhs=lambda t, u: np.where(t > 0.5, np.nan, prob.rhs(t, u)))
     for name in ("S2", "S3A"):
-        with pytest.raises(ValueError, match="^non-finite state at step"):
-            measure_lte(builtin(name), bad, F(1, 8), 1.0)
+        for run in (measure_lte, integrate):
+            with pytest.raises(ValueError, match="^non-finite state at step 5$"):
+                run(builtin(name), bad, F(1, 8), 1.0)
 
 
 def test_lte_is_negligible_for_constants():
