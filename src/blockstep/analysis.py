@@ -42,7 +42,12 @@ A Scheme is immutable, so each exact result is computed once per scheme:
 the integer table (D, m, o and the scaled rows), the d_p and the truncation
 order are kept in the scheme's own memo, Scheme.exact_memo, and
 residual_vector, residual_table, truncation_order and verify_conditions
-(through truncation_order) read them from there.
+read them from there.
+
+C1-C3 are decided on the same integer rows.  Row i of A is alpha_i / L_i
+with L_i > 0, so rank(A) is the rank of the rows alpha_i, the row sums A 1
+are sum(alpha_i) / L_i, and a^T 1, the trace of A = 1 a^T, is the sum of
+row 0.
 
 Linear stability: rho(A + z B) is the largest eigenvalue modulus of the
 double-precision Q(z), from numpy's LAPACK eigvals, for any block size s.
@@ -62,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ExactVector, dot, matvec, over_lcm, rank
+from .exact import ExactVector, dot, over_lcm, rank
 from .scheme import Scheme
 
 
@@ -161,11 +166,12 @@ class VerificationReport:
 def verify_conditions(scheme: Scheme) -> VerificationReport:
     """Check C1-C4 exactly and report witnesses."""
     order = truncation_order(scheme)
+    # Row i of A is alpha_i / L_i, alpha_i the first s entries of rows[i].
+    s, rows = scheme.s, _integers(scheme)[3]
 
-    r = rank(scheme.A)
+    r = rank([n[:s] for _, n in rows])
     c1 = ConditionRecord(r == 1, r)
-    ones = tuple(Fraction(1) for _ in range(scheme.s))
-    row_sums = matvec(scheme.A, ones)
+    row_sums = tuple(Fraction(sum(n[:s]), L) for L, n in rows)
     c2 = ConditionRecord(all(x == 1 for x in row_sums), row_sums)
 
     # C1 makes A = u v^T, and C2 (A 1 = 1) gives u_i (v^T 1) = 1 for every i:
@@ -178,7 +184,8 @@ def verify_conditions(scheme: Scheme) -> VerificationReport:
     else:
         # trace(A) = a^T 1 = 1 != 0, so the rank-1 A has eigenvalues
         # {1, 0, ..., 0} with independent eigenvectors: diagonalizable.
-        trace = sum((a[i] for i in range(scheme.s)), Fraction(0))
+        # a is row 0, so a^T 1 is row 0's sum.
+        trace = row_sums[0]
         c3 = ConditionRecord(trace != 0, trace)
         eis = dot(a, order.leading)
         c4 = ConditionRecord(eis == 0, eis)

@@ -6,14 +6,16 @@ d_p = 0, p = 1..s: each row b_i of B solves the transposed Vandermonde system
     sum_j b_ij c_in[j]^(p-1)  =  (c_out[i]^p - A_i . c_in^p) / p ,   p = 1..s.
 
 _assemble solves it on integers.  With D the lcm of the denominators of
-c_in and c_out, m = D c_in and o = D c_out, multiplying condition p by
-p D^p and using D^p c^(p-1) = D m^(p-1) gives
+c_in and c_out, m = D c_in and o = D c_out, E the lcm of the denominators
+of A and alpha = E A, multiplying condition p by E p D^p and using
+D^p c^(p-1) = D m^(p-1) gives
 
-    sum_j b_ij p D m_j^(p-1)  =  o_i^p - A_i . m^p ,
+    sum_j b_ij E p D m_j^(p-1)  =  E o_i^p - alpha_i . m^p ,
 
-so the matrix has integer entries and each right-hand side is an integer
-less one moment.  Scaling a whole row of a linear system leaves its solution
-as it was, so B does not change.
+so the matrix and every right-hand side are integers, and one solve of
+these integer rows, with no rescale (exact._solve_rows), gives all of B.
+Scaling a whole row of a linear system leaves its solution as it was, so
+B does not change.
 
 The designs here fix the rank-1 row a, so A = 1 a^T with a^T 1 = 1.  What
 remains is the error-inhibiting constraint a^T d_{s+1}(a) = 0 over the
@@ -35,9 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import analysis
-from .exact import ExactMatrix, ExactVector, as_vector, dot, over_lcm, solve_linear
+from .exact import ExactMatrix, ExactVector, _solve_rows, as_vector, dot, over_lcm
+# bench/spans.py looks derive.solve_linear up when a Tracer is built, so the
+# name stays bound here, though nothing in this module calls it (ROADMAP item 7).
+from .exact import solve_linear  # noqa: F401
 from .scheme import Scheme
 
 
@@ -58,19 +64,20 @@ def _abscissae(s: int, c_in, c_out):
     return c_in, c_out
 
 
-def _assemble(c_in, c_out, A, moments, name: str) -> Scheme:
+def _assemble(c_in, c_out, A, name: str) -> Scheme:
     """Scheme with these abscissae, this A and the unique B with d_p = 0
-    for p = 1..s, solved on the integer system of the module docstring.
-
-    moments(v) is A v for an integer vector v, so a shared row is one dot.
-    """
+    for p = 1..s, from one solve of the integer system of the module docstring."""
     s = len(c_in)
     D, mo = over_lcm(c_in + c_out)
     m, o = mo[:s], mo[s:]
-    orders = range(1, s + 1)
-    V = [[p * D * x ** (p - 1) for x in m] for p in orders]
-    R = [[y**p - mom for y, mom in zip(o, moments([x**p for x in m]))] for p in orders]
-    return Scheme(name, c_in, c_out, A, tuple(zip(*solve_linear(V, R))))
+    E, flat = over_lcm([x for row in A for x in row])
+    alpha = [flat[i:i + s] for i in range(0, s * s, s)]
+    rows = []
+    for p in range(1, s + 1):
+        mp = [x**p for x in m]
+        rows.append([E * p * D * x ** (p - 1) for x in m]
+                    + [E * y**p - sum(map(mul, al, mp)) for al, y in zip(alpha, o)])
+    return Scheme(name, c_in, c_out, A, tuple(zip(*_solve_rows(rows, s))))
 
 
 def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
@@ -80,8 +87,7 @@ def assemble(a, c_in=None, c_out=None, name: str = "derived") -> Scheme:
     c_in, c_out = _abscissae(s, c_in, c_out)
     if sum(a) != 1:
         raise ValueError("row sum violation")
-    # Every row of A is a, so a^T m^p is shared by all rows.
-    return _assemble(c_in, c_out, (a,) * s, lambda mp: (dot(a, mp),) * s, name)
+    return _assemble(c_in, c_out, (a,) * s, name)
 
 
 def solve_B(a, c_in=None, c_out=None) -> ExactMatrix:
@@ -141,7 +147,7 @@ def _eis_row(s: int, c_in, c_out):
     """
     c_in, c_out = _abscissae(s, c_in, c_out)
     eye = tuple(tuple(Fraction(int(i == j)) for j in range(s)) for i in range(s))
-    sch = _assemble(c_in, c_out, eye, lambda mp: mp, "eis row")
+    sch = _assemble(c_in, c_out, eye, "eis row")
     yield from analysis.residual_vector(sch, s + 1)
 
 

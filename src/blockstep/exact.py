@@ -21,6 +21,10 @@ Rank and linear solves use fraction-free (Bareiss) elimination on an integer
 rescaling of the rows, which keeps intermediate entries as single big
 integers instead of fractions with multiplied-out denominators.  Back
 substitution stays in integers too, so each solution entry is reduced once.
+rank and solve_linear are the rational front ends: each writes every row
+over the lcm of its denominators and hands the integer rows to its core,
+_eliminate and _solve_rows.  A caller that builds its rows as integers
+(derive's order system) calls the core directly.
 
 to_double is the one way from a rational to a double: NaN, a value beyond
 double range, or a nonzero one that rounds to 0.0, is an error that names it.
@@ -83,15 +87,6 @@ def as_matrix(rows) -> ExactMatrix:
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
-
-
-def matvec(M: ExactMatrix, v: ExactVector) -> ExactVector:
-    """Exact matrix-vector product."""
-    if any(len(row) != len(v) for row in M):
-        raise ValueError(
-            f"dimension mismatch: matrix has {len(M[0])} columns, vector has {len(v)}"
-        )
-    return tuple(dot(row, v) for row in M)
 
 
 def dot(u, v) -> Fraction:
@@ -158,9 +153,17 @@ def solve_linear(M: ExactMatrix, R: ExactMatrix) -> ExactMatrix:
         raise ValueError("dimension mismatch: matrix not square")
     if len(R) != n or len({len(row) for row in R}) != 1:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs is not an {n}-row matrix")
-    k = len(R[0])
     # Each row of [M | R] over the lcm of its denominators: X is unchanged.
-    rows = [over_lcm((*row, *rhs))[1] for row, rhs in zip(M, R)]
+    return _solve_rows([over_lcm((*row, *rhs))[1] for row, rhs in zip(M, R)], n)
+
+
+def _solve_rows(rows, n: int) -> ExactMatrix:
+    """X with M X = R, where rows are the integer rows [M | R] of a square
+    system with n unknowns; rows are eliminated in place.
+
+    Raises ValueError("singular system") when M has no unique solution.
+    """
+    k = len(rows[0]) - n
     if _eliminate(rows, n) < n:
         raise ValueError("singular system")
     # Back substitution in integers, all columns at once.  The last Bareiss

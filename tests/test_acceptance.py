@@ -16,7 +16,7 @@ from blockstep.analysis import (
     verify_conditions,
 )
 from blockstep.derive import search_s2, solve_B
-from blockstep.exact import matvec
+from blockstep.exact import dot
 from blockstep.harness import converge
 from blockstep.integrate import integrate, make_problem, problem
 from blockstep.scheme import BUILTIN_NAMES, builtin
@@ -168,7 +168,7 @@ def test_acceptance_7_property_suite():
     for name in BUILTIN_NAMES:
         sch = builtin(name)
         ones = tuple(F(1) for _ in range(sch.s))
-        ok = ok and matvec(sch.A, ones) == ones
+        ok = ok and tuple(dot(row, ones) for row in sch.A) == ones
 
     # polynomial brute-force residual oracle, 100 random s=2 rational schemes
     rng = random.Random(1234)

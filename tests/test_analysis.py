@@ -211,12 +211,12 @@ def test_verify_skips_dependent_conditions_without_unit_row_sums():
 
 def test_leading_residual_is_annihilated_up_to_the_scalar():
     # rank-1 A with unit row sums means A d = (a^T d) 1 for every vector d
-    from blockstep.exact import matvec
+    from blockstep.exact import dot
 
     for name in BUILTIN_NAMES:
         sch = builtin(name)
         rep = verify_conditions(sch)
-        image = matvec(sch.A, rep.leading)
+        image = tuple(dot(row, rep.leading) for row in sch.A)
         assert image == tuple(rep.eis_residual for _ in range(sch.s))
 
 

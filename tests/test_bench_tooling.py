@@ -13,7 +13,7 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
-from blockstep import analysis, derive, harness
+from blockstep import analysis, derive, exact, harness
 from blockstep.integrate import PROBLEM_NAMES, problem
 from blockstep.scheme import BUILTIN_NAMES, builtin
 
@@ -83,16 +83,24 @@ def test_traced_study_is_one_march_and_no_step():
     assert len(report.global_err) == len(harness.STANDARD_DTS)
 
 
-def test_traced_searches_eliminate_once_and_never_call_the_constraint():
-    # A search gets the constraint's whole row from one elimination of the
-    # Vandermonde matrix: one exact.solve_linear span, and no
-    # derive.eis_constraint call for the row or for the root.
+def test_traced_searches_eliminate_once_and_never_call_the_constraint(monkeypatch):
+    # A search gets the constraint's whole row from one Bareiss elimination
+    # of the integer order system, and no derive.eis_constraint call for the
+    # row or for the root.  The elimination is counted at exact._eliminate,
+    # which every exact solve and rank goes through.
     spans = _load("spans")
-    for search in (lambda: derive.search_s2((1, 0)),
-                   lambda: derive.search_s3_slice(0, Fraction(467, 768), (-3, 3))):
+    eliminate, eliminations = exact._eliminate, []
+
+    def counted(rows, ncols):
+        eliminations.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    for s, search in ((2, lambda: derive.search_s2((1, 0))),
+                      (3, lambda: derive.search_s3_slice(0, Fraction(467, 768), (-3, 3)))):
         tracer = spans.Tracer()
+        eliminations.clear()
         with tracer.patched():
             assert len(search()) == 1
         assert tracer.counts["derive.eis_constraint"] == 0
-        names = [r[spans.NAME] for r in tracer.spans]
-        assert names.count("exact.solve_linear") == 1
+        assert eliminations == [s]

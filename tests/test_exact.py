@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from blockstep.exact import (
     as_matrix,
     dot,
-    matvec,
     parse_rat,
     rank,
     rat_str,
@@ -83,22 +82,14 @@ def test_to_double_names_what_leaves_double_range():
             to_double(nan, "T")
 
 
-def test_matvec_kills_the_zero_eigenvector():
-    # (7, 1) spans the kernel of the rank-1 matrix with rows (-1/6, 7/6)
-    assert matvec(A_S2, (F(7), F(1))) == (F(0), F(0))
-
-
-def test_matvec_known_product():
-    assert matvec(A_B2, (F(23, 48), F(1, 16))) == (F(19, 24), F(19, 24))
-
-
-def test_matvec_row_sums_give_ones():
-    assert matvec(A_S2, (F(1), F(1))) == (F(1), F(1))
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matvec(A_S2, (F(1),))
+def test_dot_examples_on_rank_one_rows():
+    # (7, 1) spans the kernel of S2's rank-1 A, whose rows (-1/6, 7/6) sum to
+    # 1; a BUTCHER2 row against (23/48, 1/16) gives its eis residual 19/24.
+    for row in A_S2:
+        assert dot(row, (F(7), F(1))) == 0
+        assert dot(row, (F(1), F(1))) == 1
+    for row in A_B2:
+        assert dot(row, (F(23, 48), F(1, 16))) == F(19, 24)
 
 
 def test_rank_examples():
@@ -209,12 +200,12 @@ def test_solve_linear_roundtrip_property():
             tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
             for _ in range(n)
         )
-        R = tuple(zip(*(matvec(M, column) for column in zip(*X))))
+        R = tuple(tuple(oracle_dot(row, column) for column in zip(*X)) for row in M)
         assert solve_linear(M, R) == X
         done += 1
 
 
-# ----- dot, matvec and solve_linear against a naive Fraction oracle --------
+# ----- dot and solve_linear against a naive Fraction oracle ---------------
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -259,16 +250,6 @@ def test_dot_equals_the_naive_fraction_sum(uv):
 def test_dot_rejects_vectors_of_unequal_length():
     with pytest.raises(ValueError):
         dot((F(1), F(2)), (F(3),))
-
-
-@SETTINGS
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4),
-    st.lists(entries, min_size=n, max_size=n),
-)))
-def test_matvec_equals_the_naive_fraction_sums(Mv):
-    M, v = Mv
-    assert matvec(M, v) == tuple(oracle_dot(row, v) for row in M)
 
 
 @st.composite
