@@ -82,14 +82,22 @@ def test_to_double_names_what_leaves_double_range():
             to_double(nan, "T")
 
 
-def test_dot_examples_on_rank_one_rows():
-    # (7, 1) spans the kernel of S2's rank-1 A, whose rows (-1/6, 7/6) sum to
-    # 1; a BUTCHER2 row against (23/48, 1/16) gives its eis residual 19/24.
-    for row in A_S2:
-        assert dot(row, (F(7), F(1))) == 0
-        assert dot(row, (F(1), F(1))) == 1
-    for row in A_B2:
-        assert dot(row, (F(23, 48), F(1, 16))) == F(19, 24)
+def matvec(M, v):
+    return tuple(dot(row, v) for row in M)
+
+
+def test_matvec_kills_the_zero_eigenvector():
+    # (7, 1) spans the kernel of the rank-1 matrix with rows (-1/6, 7/6)
+    assert matvec(A_S2, (F(7), F(1))) == (F(0), F(0))
+
+
+def test_matvec_known_product():
+    # a BUTCHER2 row against (23/48, 1/16) gives its eis residual 19/24
+    assert matvec(A_B2, (F(23, 48), F(1, 16))) == (F(19, 24), F(19, 24))
+
+
+def test_matvec_row_sums_give_ones():
+    assert matvec(A_S2, (F(1), F(1))) == (F(1), F(1))
 
 
 def test_rank_examples():
