@@ -233,16 +233,19 @@ def cmd_converge(args) -> int:
         to_double(d, "--dts")
     report = harness.converge(scheme, prob, args.dts, args.T)
     print(f"{scheme.name} on {prob.name}, T={T:g}, reference: {report.reference}")
-    labels = ["err"] + (["lte"] if report.lte is not None else [])
+    labels = ["err"] + (["lte", "runmax"] if report.lte is not None else [])
     cols = [f"{x}[{j}]" for x in labels for j in range(scheme.s)]
     print(f"{'dt':>12s} " + " ".join(f"{c:>12s}" for c in cols))
     for dt, *errs in harness._rows(report):
         print(f"{dt:12.6g} " + " ".join(f"{e:12.4e}" for e in errs))
-    slopes = ", ".join(f"{x:.3f}" for x in report.global_slopes)
-    print(f"global slopes: [{slopes}]  max-norm: {report.maxnorm_global_slope:.3f}")
-    if report.lte_slopes is not None:
-        slopes = ", ".join(f"{x:.3f}" for x in report.lte_slopes)
-        print(f"lte slopes:    [{slopes}]  max-norm: {report.maxnorm_lte_slope:.3f}")
+    for label, per_component, maxnorm in (
+        ("global slopes:", report.global_slopes, report.maxnorm_global_slope),
+        ("lte slopes:   ", report.lte_slopes, report.maxnorm_lte_slope),
+        ("run-max slopes:", report.runmax_slopes, report.maxnorm_runmax_slope),
+    ):
+        if per_component is not None:
+            slopes = ", ".join(f"{x:.3f}" for x in per_component)
+            print(f"{label} [{slopes}]  max-norm: {maxnorm:.3f}")
     if args.csv:
         harness.emit_csv(report, args.csv)
         print(f"wrote {args.csv}")

@@ -2,22 +2,30 @@
 
 For each step size the scheme is run to the horizon T and the final block is
 compared per component against the exact solution (or a doubling-verified
-RK4 reference when no closed form exists); when an exact solution is present
-the local truncation error is measured as well.  Log-log slopes quantify the
-orders: an error-inhibiting scheme shows a global slope one above its LTE
-slope, a plain scheme shows equal slopes.
+RK4 reference when no closed form exists).  With an exact solution the
+local truncation error is measured as well, and so is the run-max error:
+the largest error over every row of every block of the run.  Log-log slopes
+quantify the orders: an error-inhibiting scheme shows a global slope one
+above its LTE slope, a plain scheme shows equal slopes.  The error at T
+alone can sit near a zero of its leading term (BUTCHER2 on P4 at T = 3
+reads 3.7 there, for a scheme of order 2); the run-max slope cannot.
 
-Each study makes one oracle call at the row times of the first block (the
-starting rows) and of the final block (the reference values) of every dt,
-from integrate._row_times like the step kernel's own row times.  The oracle
-is the closed form when there is one, otherwise one rk4_reference call,
-which doubles its own step count until two successive RK4 marches agree.
-Every block of every dt comes from one lockstep march (integrate.march,
-bound here as run_integration), max N time levels for the whole ladder, and
-the study reads the last block of each.  Nothing is kept between studies.
-The ladder is checked before any of that work starts, its step counts
-decided by integrate._grid on dt and T as given (0.1, 0.05, 0.025 reach
-T = 3/10).
+A closed-form study makes one exact call, at the row times of blocks 0..N
+of every dt (integrate._exact_table, from integrate._row_times like the
+step kernel's own row times).  Block 0 of each run gives its starting rows,
+block N its reference and every block its run-max error; one
+integrate._defect step of every block but each run's last gives every LTE.
+Without a closed form, one rk4_reference call at the row times of the first
+block (the starting rows) and of the final block (the reference values) of
+every dt serves the study; it doubles its own step count until two
+successive RK4 marches agree.  Asking it at every row would cost about 42%
+more RK4 steps, so such a study has no LTE and no run-max.  Every block of
+every dt comes from one lockstep march (integrate.march, bound here as
+run_integration), max N time levels for the whole ladder, and every slope
+of a study is fitted against one log2(dt) vector.  Nothing is kept between
+studies.  The ladder is checked before any of that work starts, its step
+counts decided by integrate._grid on dt and T as given (0.1, 0.05, 0.025
+reach T = 3/10).
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .integrate import Problem, _check_marches, _closed_form, _grid, _row_times, measure_lte
+from .integrate import Problem, _check_marches, _defect, _exact_table, _grid, _row_times
+from .integrate import measure_lte  # noqa: F401  (the benchmark tracer wraps this name)
 from .integrate import march as run_integration, rk4_reference
 from .scheme import Scheme
 
@@ -57,6 +66,9 @@ class ConvergenceReport:
     maxnorm_global_slope: float  # slope of max-over-components error
     maxnorm_lte_slope: Optional[float]
     reference: str  # provenance: "exact" or the rk4 escalation summary
+    runmax: Optional[list[np.ndarray]]  # per dt, per component, max over the run; None without exact
+    runmax_slopes: Optional[np.ndarray]
+    maxnorm_runmax_slope: Optional[float]
 
 
 def fit_slope(points) -> float:
@@ -77,33 +89,35 @@ def fit_slope(points) -> float:
     x = np.log2([d for d, _ in kept])
     if len(set(x.tolist())) < 2:
         raise ValueError("need >=2 distinct dt values")
-    y = np.log2([e for _, e in kept])
-    dx = x - x.mean()
-    dy = y - y.mean()
-    return float(dx @ dy / (dx @ dx))
+    return _fit(x - x.mean(), np.log2([[e for _, e in kept]]))[0]
 
 
-def _oracle(prob, times):
-    """(values, provenance) at each time, one row per time.
+def _fit(dx, y) -> list[float]:
+    """The least-squares slope of each row of y, log2(err), against dx,
+    log2(dt) less its mean."""
+    dy = y - y.mean(axis=1, keepdims=True)
+    return [float(dx @ row / (dx @ dx)) for row in dy]
 
-    A closed form is evaluated once on all times; a value that is not finite
-    is an error.  Otherwise one RK4 reference up to the largest time serves
-    them all, in any order and with repeats; rk4_reference doubles its step
-    count until the doubling check passes at every time.
+
+def _slopes(dts, dx, rows):
+    """Per-component and max-norm slopes of per-dt error rows; None for None.
+
+    Each is fit_slope's for its column, bit for bit.  dx is log2(dts) less
+    its mean, computed once per study, or None when fit_slope would refuse
+    the dts; when it is None or a value is not positive, fit_slope fits
+    each column itself.
     """
-    if prob.exact is not None:
-        return _closed_form(prob, times).T, "exact"
-    values, n = rk4_reference(prob, times.max(), times=times)
-    return values, f"rk4 (doubling-verified, n_steps up to {n})"
-
-
-def _slopes(dts, rows):
-    """Per-component and max-norm slopes of per-dt error rows; None for None."""
     if rows is None:
         return None, None
     errs = np.array(rows)  # (n_dt, s)
-    per_component = np.array([fit_slope(zip(dts, col)) for col in errs.T])
-    return per_component, fit_slope(zip(dts, errs.max(axis=1)))
+    # Every component, then the max-norm, each one C-contiguous row, as in
+    # fit_slope: a strided dot product rounds differently.
+    cols = np.array([*errs.T, errs.max(axis=1)])
+    if dx is not None and (cols > 0).all():
+        slopes = _fit(dx, np.log2(cols))
+    else:
+        slopes = [fit_slope(zip(dts, col)) for col in cols]
+    return np.array(slopes[:-1]), slopes[-1]
 
 
 def _check_ladder(scheme, dts, T):
@@ -121,25 +135,51 @@ def _check_ladder(scheme, dts, T):
     return ladder
 
 
+def _reference_errors(scheme, prob, given, steps, dt_list, T):
+    """(global error per dt, provenance) against one rk4_reference call at
+    the row times of the first block (the starting rows) and of the final
+    block (the reference values) of every run."""
+    n = np.outer([0, 1], steps)[:, :, None]
+    times = _row_times(scheme.float_tables[2], n, np.array(dt_list)[:, None]).ravel()
+    values, n_ref = rk4_reference(prob, times.max(), times=times)
+    starts, refs = values.reshape((2, len(dt_list), scheme.s, prob.dim))  # per block, dt, row
+    runs = run_integration(scheme, prob, given, T, starts)
+    global_err = [np.abs(blocks[-1] - ref).max(axis=1) for blocks, ref in zip(runs, refs)]
+    return global_err, f"rk4 (doubling-verified, n_steps up to {n_ref})"
+
+
+def _exact_errors(scheme, prob, given, steps, dt_list, T):
+    """(global error, LTE, run-max error), each per dt, from one exact table
+    of blocks 0..N of every run: block 0 gives the starting rows, block N
+    the reference, and every block the run-max and the defect."""
+    table = _exact_table(scheme, prob, steps, dt_list)
+    U = table[3]
+    first = np.cumsum(steps) - steps + np.arange(len(steps))  # block 0 of each run
+    runs = run_integration(scheme, prob, given, T, U[first])
+    err = np.abs(np.concatenate(runs) - U).max(axis=2)  # per block and component
+    lte = _defect(scheme, prob, steps, table)
+    return list(err[first + steps]), list(lte), list(np.maximum.reduceat(err, first))
+
+
 def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) -> ConvergenceReport:
-    """Run the dt ladder and fit per-component global and LTE slopes.
+    """Run the dt ladder and fit per-component global, LTE and run-max slopes.
 
     The scheme must march and the ladder needs at least three distinct positive
     dts that each reach T > 0 in whole steps, checked before any work.  One
-    oracle call gives the references and the starting rows of every run.
+    oracle call gives the starting rows and the references of every run.
     """
     given, steps, dt_list = map(list, zip(*_check_ladder(scheme, dts, T)))
-    # The row times of the first and the final block of every run: (2, L, s).
-    n = np.outer([0, 1], steps)[:, :, None]
-    times = _row_times(scheme.float_tables[2], n, np.array(dt_list)[:, None])
-    values, reference = _oracle(prob, times.ravel())
-    starts, refs = values.reshape((2, len(dt_list), scheme.s, prob.dim))  # per block, dt, row
-
-    runs = run_integration(scheme, prob, given, T, starts)
-    global_err = [np.abs(blocks[-1] - ref).max(axis=1) for blocks, ref in zip(runs, refs)]
-    lte = [measure_lte(scheme, prob, dt, T) for dt in given] if prob.exact is not None else None
-    global_slopes, maxnorm_global = _slopes(dt_list, global_err)
-    lte_slopes, maxnorm_lte = _slopes(dt_list, lte)
+    if prob.exact is None:
+        global_err, reference = _reference_errors(scheme, prob, given, steps, dt_list, T)
+        lte = runmax = None
+    else:
+        global_err, lte, runmax = _exact_errors(scheme, prob, given, steps, dt_list, T)
+        reference = "exact"
+    x = np.log2(dt_list)
+    dx = x - x.mean() if len(set(x.tolist())) > 1 else None
+    global_slopes, maxnorm_global = _slopes(dt_list, dx, global_err)
+    lte_slopes, maxnorm_lte = _slopes(dt_list, dx, lte)
+    runmax_slopes, maxnorm_runmax = _slopes(dt_list, dx, runmax)
 
     return ConvergenceReport(
         scheme_name=scheme.name,
@@ -153,6 +193,9 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
         maxnorm_global_slope=maxnorm_global,
         maxnorm_lte_slope=maxnorm_lte,
         reference=reference,
+        runmax=runmax,
+        runmax_slopes=runmax_slopes,
+        maxnorm_runmax_slope=maxnorm_runmax,
     )
 
 
@@ -171,18 +214,22 @@ def write_csv(path, header, rows) -> None:
         fh.write(text)
 
 
+def _series(report: ConvergenceReport) -> list[tuple[str, list]]:
+    # (CSV name, per-dt rows) of each error series measured, in column order.
+    series = (("global_err", report.global_err), ("lte", report.lte), ("runmax", report.runmax))
+    return [(name, rows) for name, rows in series if rows is not None]
+
+
 def _rows(report: ConvergenceReport) -> list[tuple]:
-    # Per dt: dt, the global errors, then the LTE values when measured.
-    lte = report.lte if report.lte is not None else [()] * len(report.dts)
-    return [(dt, *e, *v) for dt, e, v in zip(report.dts, report.global_err, lte)]
+    # Per dt: dt, the global errors, then the LTE and run-max values when measured.
+    per_dt = zip(report.dts, *(rows for _, rows in _series(report)))
+    return [(dt, *(x for row in rows for x in row)) for dt, *rows in per_dt]
 
 
 def emit_csv(report: ConvergenceReport, path) -> None:
-    """Write the per-dt table; LTE columns appear only when measured."""
+    """Write the per-dt table; LTE and run-max columns appear only when measured."""
     s = len(report.global_err[0])
-    cols = ["dt"] + [f"global_err_comp_{j}" for j in range(s)]
-    if report.lte is not None:
-        cols += [f"lte_comp_{j}" for j in range(s)]
+    cols = ["dt"] + [f"{name}_comp_{j}" for name, _ in _series(report) for j in range(s)]
     write_csv(path, cols, _rows(report))
 
 

@@ -10,21 +10,25 @@ Problem).  The exact rational matrices are read through Scheme.float_tables,
 rendered to double once per scheme, so runs are bitwise reproducible.
 
 One kernel, _advance, makes that step, with both finiteness checks, for one
-block (step), a stack of lanes (march) or every exact block (measure_lte), at
-the row times n dt + c_j dt that _row_times alone computes, and builds the
-combine in place in one result array.  march is the one stepping loop: it
-runs a dt ladder in lockstep, one rhs call and one combine per time level,
-takes the row times of every lane for _CHUNK levels at a time from one
-_row_times call, and keeps every block of every run, bit for bit those of
-separate runs; integrate is march on one lane.  _grid decides each run's step
-count, at most 2^53, on dt and T exactly as given (dt = 1/3 reaches T = 5/3),
-and is the one check of a step size (bootstrap and step ask it with T = 0);
-exact.to_double renders each value to double once, naming a value that
-leaves double range.
+block (step), a stack of lanes (march) or the exact blocks of a ladder
+(_defect), at the row times n dt + c_j dt that _row_times alone computes,
+and builds the combine in place in one result array.  march is the one
+stepping loop: it runs a dt ladder in lockstep, one rhs call and one combine
+per time level, takes the row times of every lane for _CHUNK levels at a
+time from one _row_times call, and keeps every block of every run, bit for
+bit those of separate runs; integrate is march on one lane.  _grid decides
+each run's step count, at most 2^53, on dt and T exactly as given (dt = 1/3
+reaches T = 5/3), and is the one check of a step size (bootstrap and step
+ask it with T = 0); exact.to_double renders each value to double once,
+naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and the local truncation error, the
-kernel's defect on the exact blocks, measured over all steps at once.
+kernel's defect on the exact blocks.  _exact_table evaluates the closed form
+once at the row times of blocks 0..N of every run of a ladder, and _defect
+steps every block of it but each run's last in one _advance call; a
+closed-form convergence study reads its starts, references, run-max errors
+and LTE off that one table, and measure_lte is the same pair on one run.
 
 All classical RK4 work goes through one forward march, _rk4_sweep, which
 serves any times in [0, T] in increasing order, each off its grid by one
@@ -381,21 +385,48 @@ def _closed_form(prob: Problem, t: np.ndarray) -> np.ndarray:
     return values
 
 
-def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
-    """Max |tau_n| per block component over all steps to T.
+def _exact_table(scheme: Scheme, prob: Problem, steps, dts):
+    """(n, dt, times, U): the exact blocks 0..N of every run, run after run.
+
+    Run i takes steps[i] steps of dts[i], a double.  Row m of the table is
+    block n[m] of its run, with step dt[m] and the kernel's row times
+    times[m] = n dt + c_in dt from _row_times, and U[m], shape (s, dim), is
+    the closed form there, from one _closed_form call for the whole table.
+    """
+    sizes = np.add(steps, 1)
+    n = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    dt = np.repeat(dts, sizes)
+    times = _row_times(scheme.float_tables[2], n[:, None], dt[:, None])
+    return n, dt, times, _closed_form(prob, times).transpose(1, 2, 0)
+
+
+def _defect(scheme: Scheme, prob: Problem, steps, table) -> np.ndarray:
+    """Max |tau_n| per run and block component, shape (runs, s), over every
+    step of each run of an _exact_table; every run takes a step, or none does.
 
     tau_n = (U_{n+1} - A U_n - dt B F(U_n)) / dt, the kernel's defect on
-    the exact blocks U_n, each at the kernel's row times n dt + c_in dt:
-    one exact call and one _advance of blocks 0..N-1.  The scheme must
-    march, and the exact solution and the rhs on it must be finite; as in
-    march, the error names step k + 1 for the first block k that is not.
+    the exact blocks U_n: one _advance of every block but each run's last.
+    As in march, a finiteness error names step k + 1 for the first block k
+    that fails.
+    """
+    n, dt, times, U = table
+    k = np.flatnonzero(n < np.repeat(steps, np.add(steps, 1)))  # all but each run's last block
+    if not k.size:
+        return np.zeros((len(steps), scheme.s))
+    h = dt[k, None, None]
+    tau = np.abs((U[k + 1] - _advance(scheme, prob, n[k], U[k], h, times[k].ravel())) / h)
+    return np.maximum.reduceat(tau.max(axis=2), np.cumsum(steps) - steps)
+
+
+def measure_lte(scheme: Scheme, prob: Problem, dt, T: float) -> np.ndarray:
+    """Max |tau_n| per block component over all steps to T, the _defect of
+    one run: one exact call at the kernel's row times n dt + c_in dt of
+    blocks 0..N and one _advance of blocks 0..N-1.  The scheme must march,
+    and the exact solution and the rhs on it must be finite; as in march,
+    the error names step k + 1 for the first block k that is not.
     """
     _check_marches(scheme)
     if prob.exact is None:
         raise ValueError("missing exact solution")
     n_steps, dtf = _grid(dt, T)
-    times = _row_times(scheme.float_tables[2], np.arange(n_steps + 1)[:, None], dtf)
-    U = _closed_form(prob, times).transpose(1, 2, 0)  # (N + 1, s, dim)
-    stepped = _advance(scheme, prob, np.arange(n_steps), U[:-1], dtf, times[:-1].ravel())
-    tau = (U[1:] - stepped) / dtf
-    return np.abs(tau).max(axis=(0, 2), initial=0.0)
+    return _defect(scheme, prob, [n_steps], _exact_table(scheme, prob, [n_steps], [dtf]))[0]

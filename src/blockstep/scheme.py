@@ -59,10 +59,10 @@ class Scheme:
         if any(c_out[i] <= c_in[i] for i in range(s)):
             raise ValueError("output abscissae must exceed input abscissae")
 
-    @property
+    @cached_property
     def marches(self) -> bool:
         """Whether the scheme can be stepped: c_out = c_in + 1, so each step
-        moves the whole block by dt."""
+        moves the whole block by dt; decided once per scheme, like float_tables."""
         return all(o - i == 1 for i, o in zip(self.c_in, self.c_out))
 
     @cached_property

@@ -383,9 +383,11 @@ def test_converge_outputs(tmp_path, capsys):
     assert "S2 on P1" in out
     assert "reference: exact" in out
     assert "global slopes:" in out and "max-norm:" in out
-    assert "lte slopes:" in out
+    assert "lte slopes:" in out and "run-max slopes:" in out
     header = csv.read_text().split("\n", 1)[0]
-    assert header == "dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1"
+    assert header == (
+        "dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1,runmax_comp_0,runmax_comp_1"
+    )
     assert "$DATA << EOD" in plot.read_text()
 
 

@@ -21,13 +21,14 @@ LADDER = "1/8,1/16,1/32,1/64"
 GOLDEN = {
     ("S2", "P1"): """\
 S2 on P1, T=1, reference: exact
-          dt       err[0]       err[1]       lte[0]       lte[1]
-       0.125   2.2856e-04   4.1270e-04   1.9934e-02   2.9316e-03
-      0.0625   3.2733e-05   5.5556e-05   5.6878e-03   8.2600e-04
-     0.03125   4.4171e-06   7.2262e-06   1.5242e-03   2.1965e-04
-    0.015625   5.7461e-07   9.2192e-07   3.9486e-04   5.6664e-05
+          dt       err[0]       err[1]       lte[0]       lte[1]    runmax[0]    runmax[1]
+       0.125   2.2856e-04   4.1270e-04   1.9934e-02   2.9316e-03   2.4918e-03   4.6228e-04
+      0.0625   3.2733e-05   5.5556e-05   5.6878e-03   8.2600e-04   3.5549e-04   6.4026e-05
+     0.03125   4.4171e-06   7.2262e-06   1.5242e-03   2.1965e-04   4.7631e-05   8.5079e-06
+    0.015625   5.7461e-07   9.2192e-07   3.9486e-04   5.6664e-05   6.1697e-06   1.0983e-06
 global slopes: [2.880, 2.936]  max-norm: 2.936
 lte slopes:    [1.887, 1.899]  max-norm: 1.887
+run-max slopes: [2.887, 2.906]  max-norm: 2.887
 """,
     ("S3A", "P2"): """\
 S3A on P2, T=1, reference: rk4 (doubling-verified, n_steps up to 512)
@@ -141,12 +142,13 @@ final base time t=1 after 8 steps of dt=0.125
     # A decimal ladder whose doubles miss T = 0.3: reachable in rationals.
     ("converge", "--scheme", "S2", "--problem", "P3", "--dts", "0.1,0.05,0.025", "--T", "0.3"): """\
 S2 on P3, T=0.3, reference: exact
-          dt       err[0]       err[1]       lte[0]       lte[1]
-         0.1   1.5288e-04   9.8361e-06   2.6371e-03   3.7946e-04
-        0.05   1.9281e-05   1.9859e-06   6.7868e-04   9.7312e-05
-       0.025   2.4164e-06   3.0087e-07   1.7216e-04   2.4640e-05
+          dt       err[0]       err[1]       lte[0]       lte[1]    runmax[0]    runmax[1]
+         0.1   1.5288e-04   9.8361e-06   2.6371e-03   3.7946e-04   2.6371e-04   3.7946e-05
+        0.05   1.9281e-05   1.9859e-06   6.7868e-04   9.7312e-05   3.3934e-05   4.8656e-06
+       0.025   2.4164e-06   3.0087e-07   1.7216e-04   2.4640e-05   4.3040e-06   6.1600e-07
 global slopes: [2.992, 2.515]  max-norm: 2.992
 lte slopes:    [1.969, 1.972]  max-norm: 1.969
+run-max slopes: [2.969, 2.972]  max-norm: 2.969
 """,
     # At T = 8 the P2 reference escalates: the doubling check passes at 8192.
     ("converge", "--scheme", "S2", "--problem", "P2", "--T", "8", "--dts", "1/8,1/16,1/32"): """\
@@ -160,14 +162,15 @@ global slopes: [3.027, 3.006]  max-norm: 3.006
     # No --dts: the default ladder, 1/8 ... 1/128.
     ("converge", "--scheme", "S3B", "--problem", "P4"): """\
 S3B on P4, T=1, reference: exact
-          dt       err[0]       err[1]       err[2]       lte[0]       lte[1]       lte[2]
-       0.125   4.2963e-05   2.9354e-05   1.9507e-05   1.2989e-03   3.7719e-04   6.2383e-05
-      0.0625   7.8852e-08   3.2351e-07   3.7415e-07   1.6300e-04   4.7370e-05   7.8516e-06
-     0.03125   7.0487e-08   1.7153e-08   6.1832e-10   2.0372e-05   5.9196e-06   9.8147e-07
-    0.015625   6.1466e-09   2.0882e-09   7.3972e-10   2.5486e-06   7.4046e-07   1.2274e-07
-   0.0078125   4.3399e-10   1.5996e-10   6.7309e-11   3.1863e-07   9.2569e-08   1.5343e-08
+          dt       err[0]       err[1]       err[2]       lte[0]       lte[1]       lte[2]    runmax[0]    runmax[1]    runmax[2]
+       0.125   4.2963e-05   2.9354e-05   1.9507e-05   1.2989e-03   3.7719e-04   6.2383e-05   2.3933e-04   9.1625e-05   3.1944e-05
+      0.0625   7.8852e-08   3.2351e-07   3.7415e-07   1.6300e-04   4.7370e-05   7.8516e-06   1.2576e-05   4.3350e-06   1.2543e-06
+     0.03125   7.0487e-08   1.7153e-08   6.1832e-10   2.0372e-05   5.9196e-06   9.8147e-07   7.0977e-07   2.2795e-07   5.5064e-08
+    0.015625   6.1466e-09   2.0882e-09   7.3972e-10   2.5486e-06   7.4046e-07   1.2274e-07   4.2129e-08   1.2957e-08   2.7412e-09
+   0.0078125   4.3399e-10   1.5996e-10   6.7309e-11   3.1863e-07   9.2569e-08   1.5343e-08   2.5649e-09   7.7060e-10   1.4995e-10
 global slopes: [3.687, 4.225, 4.527]  max-norm: 3.912
 lte slopes:    [2.999, 2.998, 2.998]  max-norm: 2.999
+run-max slopes: [4.124, 4.210, 4.424]  max-norm: 4.124
 """,
     ("stability", "--scheme", "S2", "--n", "3"): """\
 re,im,rho
@@ -204,11 +207,11 @@ FILE_GOLDEN = {
     ("converge", "--scheme", "S2", "--problem", "P1", "--dts", LADDER, "--csv"): (
         GOLDEN["S2", "P1"] + "wrote {path}\n",
         """\
-dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1
-0.125,0.00022855571802621322,0.00041269968591317596,0.019934134644572055,0.0029315647827772295
-0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878331841,0.00082599614685463507
-0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146557996,0.00021965214272867684
-0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547959581,5.6664185926535993e-05
+dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1,runmax_comp_0,runmax_comp_1
+0.125,0.00022855571802621322,0.00041269968591317596,0.019934134644572055,0.0029315647827772295,0.0024917668305715068,0.00046227730104930753
+0.0625,3.2732773690702377e-05,5.5556288694802447e-05,0.0056878306878331841,0.00082599614685463507,0.00035548941798957401,6.4025903731557143e-05
+0.03125,4.4170683116129261e-06,7.2262046104110134e-06,0.0015241838146557996,0.00021965214272867684,4.7630744207993736e-05,8.5079321732184354e-06
+0.015625,5.7460935837250204e-07,9.2192112283173699e-07,0.00039486381547959581,5.6664185926535993e-05,6.1697471168686846e-06,1.0983298335265346e-06
 """,
     ),
     # The P2 errors at full precision pin the RK4 reference values they are

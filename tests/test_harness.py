@@ -16,7 +16,7 @@ from blockstep.harness import (
     emit_plot_script,
     fit_slope,
 )
-from blockstep import harness, integrate
+from blockstep import analysis, harness, integrate
 from blockstep.integrate import make_problem, march, problem
 from blockstep.scheme import BUILTIN_NAMES, builtin, make_scheme
 
@@ -204,24 +204,29 @@ def test_converge_checks_the_ladder_before_any_work(dts, T, message):
 @pytest.mark.parametrize("sch_name", BUILTIN_NAMES)
 def test_the_oracle_is_asked_at_the_kernels_own_row_times(sch_name):
     # On a non-dyadic ladder n dt + c dt rounds differently in another
-    # layout or formula.  The start rows given to the oracle are the times
-    # of the kernel's level-0 rhs call, and each lane's final rows are the
-    # times the kernel steps from at level N when that lane runs one step
-    # past T: bit for bit, lane by lane.
+    # layout or formula.  A closed-form study's one exact call holds the
+    # row times of blocks 0..N of every run, run after run, largest dt
+    # first: block k of a run is where march's level-k rhs call puts it
+    # when that run goes one step past T, bit for bit.  The study's own
+    # march starts at block 0 of each run, and its defect step is one rhs
+    # call at every block but each run's last.
     sch = builtin(sch_name)
     prob, calls = _recording(problem("P4"))
-    dts = (F(1, 3), F(1, 5), F(1, 7))  # largest first, as the oracle orders lanes
+    dts = (F(1, 3), F(1, 5), F(1, 7))  # largest first, as the table orders runs
     converge(sch, prob, dts=dts, T=1)
-    oracle = next(t for what, t in calls if what == "exact")
-    level0 = next(t for what, t in calls if what == "rhs")  # the march's first level
-    starts, finals = oracle.reshape(2, len(dts), sch.s)
-    assert sorted(map(bytes, level0.reshape(len(dts), sch.s))) == sorted(map(bytes, starts))
-    for dt, start, final in zip(dts, starts, finals):
-        n = dt.denominator  # steps to T = 1
+    (exact,) = [t for what, t in calls if what == "exact"]
+    rhs = [t for what, t in calls if what == "rhs"]
+    sizes = [dt.denominator + 1 for dt in dts]  # blocks 0..N, N steps to T = 1
+    assert exact.shape == (sum(sizes), sch.s)
+    runs = np.split(exact, np.cumsum(sizes)[:-1])
+    assert sorted(map(bytes, rhs[0].reshape(len(dts), sch.s))) == sorted(bytes(r[0]) for r in runs)
+    assert bytes(rhs[-1]) == bytes(np.concatenate([r[:-1] for r in runs]))
+    for dt, blocks in zip(dts, runs):
+        n = dt.denominator
         calls.clear()
-        march(sch, prob, [dt], (n + 1) * dt, [problem("P4").exact(start).T])
-        rhs = [t for what, t in calls if what == "rhs"]
-        assert (len(rhs), bytes(rhs[0]), bytes(rhs[n])) == (n + 1, bytes(start), bytes(final))
+        march(sch, prob, [dt], (n + 1) * dt, [problem("P4").exact(blocks[0]).T])
+        level = [t for what, t in calls if what == "rhs"]
+        assert [bytes(t) for t in level] == [bytes(row) for row in blocks], dt
 
 
 @pytest.mark.parametrize("sch_name", BUILTIN_NAMES)
@@ -269,8 +274,9 @@ def test_sweep_reference_matches_a_hidden_closed_form(scheme, name):
 
 
 def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
-    # One call serves every reference and starting row; measure_lte makes
-    # one per dt, at the kernel's row times n dt + c dt of blocks 0..N.
+    # One call serves every starting row, reference, run-max row and LTE
+    # block: the kernel's row times n dt + c dt of blocks 0..N of every dt,
+    # run after run, shape (sum(N + 1), s).
     prob = problem("P4")
     calls = []
 
@@ -281,12 +287,116 @@ def test_closed_form_study_makes_one_exact_call_for_references_and_starts():
     sch = builtin("S3A")
     dts = (0.125, 0.0625, 0.03125, 0.015625)
     converge(sch, dataclasses.replace(prob, exact=exact), dts=dts)
-    assert len(calls) == 1 + len(dts)
-    assert len(calls[0]) == 2 * 3 * len(dts)  # T + c dt and c dt, c in c_in
+    (times,) = calls
     c_in = sch.float_tables[2]
-    for dt, times in zip(dts, calls[1:]):
-        n = np.arange(round(1 / dt) + 1)[:, None]
-        assert times.shape == (len(n), 3) and times.tobytes() == (n * dt + c_in * dt).tobytes()
+    want = np.concatenate([np.arange(round(1 / dt) + 1)[:, None] * dt + c_in * dt for dt in dts])
+    assert times.shape == want.shape == (sum(round(1 / dt) + 1 for dt in dts), 3)
+    assert times.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["P1", "P3", "P4"])
+def test_converge_lte_is_measure_lte_per_dt(name):
+    # The study's one defect step over the whole ladder gives, per dt, the
+    # bits of measure_lte's own run.
+    prob = problem(name)
+    for sch_name in BUILTIN_NAMES:
+        sch = builtin(sch_name)
+        for T in (1.0, 2.0):
+            rep = converge(sch, prob, T=T)
+            for dt, lte in zip(rep.dts, rep.lte):
+                want = integrate.measure_lte(sch, prob, dt, T)
+                assert lte.tobytes() == want.tobytes(), (sch_name, T, dt)
+
+
+def test_run_max_is_the_largest_error_over_every_block_of_the_run():
+    # Per dt and component, the max over every row of every block of
+    # integrate's run against the closed form at that row's time; it
+    # bounds the error at T.
+    prob = problem("P4")
+    for sch_name in BUILTIN_NAMES:
+        sch = builtin(sch_name)
+        c_in = sch.float_tables[2]
+        rep = converge(sch, prob, dts=(0.25, 0.125, 0.0625), T=2.0)
+        for dt, runmax, err in zip(rep.dts, rep.runmax, rep.global_err):
+            blocks = integrate.integrate(sch, prob, dt, 2.0)
+            n = np.arange(len(blocks))[:, None]
+            exact = prob.exact(n * dt + c_in * dt).transpose(1, 2, 0)
+            assert runmax.tobytes() == np.abs(blocks - exact).max(axis=(0, 2)).tobytes()
+            assert (runmax >= err).all()
+
+
+def test_every_slope_of_a_study_is_fit_slope_on_its_column():
+    # The study fits all its columns against one log2(dt) vector; each
+    # slope is still the bits fit_slope gives for that column alone.
+    for name in ("P1", "P2", "P4"):
+        for sch_name in BUILTIN_NAMES:
+            rep = converge(builtin(sch_name), problem(name), T=2.0)
+            for rows, per_component, maxnorm in (
+                (rep.global_err, rep.global_slopes, rep.maxnorm_global_slope),
+                (rep.lte, rep.lte_slopes, rep.maxnorm_lte_slope),
+                (rep.runmax, rep.runmax_slopes, rep.maxnorm_runmax_slope),
+            ):
+                if rows is None:
+                    continue
+                errs = np.array(rows)
+                want = [fit_slope(zip(rep.dts, col)) for col in errs.T]
+                assert per_component.tolist() == want, (name, sch_name)
+                assert maxnorm == fit_slope(zip(rep.dts, errs.max(axis=1))), (name, sch_name)
+
+
+def test_a_nonpositive_error_goes_through_fit_slope_in_a_study():
+    # One log2(dt) fit for a study's columns keeps fit_slope's rule: a
+    # column with a zero error is fitted by fit_slope, which drops the
+    # value with its warning; the other columns keep their bits.
+    dts = [0.125, 0.0625, 0.03125, 0.015625]
+    x = np.log2(dts)
+    rows = [np.array(r) for r in ([1e-3, 2e-4], [1.2e-4, 0.0], [1.6e-5, 3e-6], [2e-6, 4e-7])]
+    with pytest.warns(UserWarning, match="excluded 1 nonpositive"):
+        per_component, maxnorm = harness._slopes(dts, x - x.mean(), rows)
+        want = [fit_slope(zip(dts, col)) for col in np.array(rows).T]
+    assert per_component.tolist() == want
+    assert maxnorm == fit_slope(zip(dts, np.array(rows).max(axis=1)))
+
+
+def test_run_max_is_absent_without_a_closed_form():
+    rep = converge(builtin("S3A"), problem("P2"), dts=(0.125, 0.0625, 0.03125))
+    assert (rep.runmax, rep.runmax_slopes, rep.maxnorm_runmax_slope) == (None, None, None)
+
+
+def test_butcher2_run_max_slope_is_its_order_where_the_error_at_t_is_not():
+    # At T = 3 the error at T sits near a zero of its leading term and reads
+    # about 3.7 for a scheme that fails C4; over the whole run it reads 2.
+    rep = converge(builtin("BUTCHER2"), problem("P4"), T=3.0)
+    assert rep.maxnorm_global_slope > 3.5
+    assert abs(rep.maxnorm_runmax_slope - 2) <= 0.2
+
+
+@pytest.mark.parametrize("sch_name", BUILTIN_NAMES)
+def test_run_max_slope_is_q_plus_one_for_eis_schemes_and_q_otherwise(sch_name):
+    sch = builtin(sch_name)
+    want = analysis.truncation_order(sch).q + (sch_name != "BUTCHER2")
+    for name in ("P1", "P3", "P4"):
+        for T in (1.0, 2.0, 3.0, 4.0):
+            rep = converge(sch, problem(name), T=T)
+            assert abs(rep.maxnorm_runmax_slope - want) <= 0.25, (name, T)
+
+
+def test_a_scheme_that_does_not_march_is_refused_before_any_rhs_call():
+    # converge, march and measure_lte each refuse it before the rhs or the
+    # closed form is asked anything; whether it marches is decided once.
+    s2 = builtin("S2")
+    stuck = make_scheme("stuck", s2.c_in, (F(2), F(1)), s2.A, s2.B)  # c_out[0] = c_in[0] + 3/2
+    prob, calls = _recording(problem("P1"))
+    runs = {
+        "converge": lambda: converge(stuck, prob, dts=(0.125, 0.0625, 0.03125)),
+        "march": lambda: march(stuck, prob, [0.125], 1.0, [[[1.0], [1.0]]]),
+        "measure_lte": lambda: integrate.measure_lte(stuck, prob, 0.125, 1.0),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match="^scheme does not march"):
+            run()
+        assert calls == [], name
+    assert vars(stuck)["marches"] is False
 
 
 def _counted(monkeypatch, module, name):
@@ -399,7 +509,9 @@ def test_emit_csv_round_trips(tmp_path):
     path = tmp_path / "conv.csv"
     emit_csv(rep, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1"
+    assert lines[0] == (
+        "dt,global_err_comp_0,global_err_comp_1,lte_comp_0,lte_comp_1,runmax_comp_0,runmax_comp_1"
+    )
     assert len(lines) == 4
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
@@ -407,6 +519,7 @@ def test_emit_csv_round_trips(tmp_path):
         for j in range(2):
             assert float(cells[1 + j]) == rep.global_err[i][j]
             assert float(cells[3 + j]) == rep.lte[i][j]
+            assert float(cells[5 + j]) == rep.runmax[i][j]
 
 
 def test_emit_csv_omits_lte_without_exact(tmp_path):

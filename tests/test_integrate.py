@@ -919,6 +919,16 @@ def test_lte_raises_on_an_rhs_that_is_not_finite_on_the_exact_blocks():
                 run(builtin(name), bad, F(1, 8), 1.0)
 
 
+def test_lte_of_a_run_of_no_steps_is_zero():
+    # T = 0 is zero steps: no defect to measure, and no rhs call to make.
+    prob = problem("P1")
+    calls = []
+    quiet = dataclasses.replace(prob, rhs=lambda t, u: calls.append(t) or prob.rhs(t, u))
+    for name in ("S2", "S3A"):
+        assert measure_lte(builtin(name), quiet, F(1, 8), 0).tolist() == [0.0] * builtin(name).s
+    assert calls == []
+
+
 def test_lte_is_negligible_for_constants():
     worst = measure_lte(builtin("S2"), _constant_problem(), F(1, 8), 1.0)
     assert np.max(worst) < 1e-13
