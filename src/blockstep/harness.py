@@ -20,12 +20,13 @@ block (the starting rows) and of the final block (the reference values) of
 every dt serves the study; it doubles its own step count until two
 successive RK4 marches agree.  Asking it at every row would cost about 42%
 more RK4 steps, so such a study has no LTE and no run-max.  Every block of
-every dt comes from one lockstep march (integrate.march, bound here as
-run_integration), max N time levels for the whole ladder, and every slope
-of a study is fitted against one log2(dt) vector.  Nothing is kept between
-studies.  The ladder is checked before any of that work starts, its step
-counts decided by integrate._grid on dt and T as given (0.1, 0.05, 0.025
-reach T = 3/10).
+every dt comes from one lockstep march (integrate._march, march's core on
+decided grids, bound here as run_integration), max N time levels for the
+whole ladder, and every slope of a study is fitted against one log2(dt)
+vector.  Nothing is kept between studies.  The ladder is checked before any
+of that work starts, its step counts decided once per dt by integrate._grid
+on dt and T as given (0.1, 0.05, 0.025 reach T = 3/10), and the march takes
+those counts as they are.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import analysis
 from .integrate import Problem, _check_marches, _defect, _exact_table, _grid, _row_times
 from .integrate import measure_lte  # noqa: F401  (the benchmark tracer wraps this name)
-from .integrate import march as run_integration, rk4_reference
+from .integrate import _march as run_integration, rk4_reference
 from .scheme import Scheme
 
 STANDARD_DTS = (
@@ -121,21 +122,22 @@ def _slopes(dts, dx, rows):
 
 
 def _check_ladder(scheme, dts, T):
-    """(dt as given, step count, dt as a double) per dt, largest first, after
-    checking every cause a study would otherwise fail on after doing its
-    work.  _grid decides each step count once, on dt and T as given."""
+    """(step count, dt as a double) per dt, largest first, after checking
+    every cause a study would otherwise fail on after doing its work.
+    _grid decides each step count once, on dt and T as given, and the
+    march takes these pairs as they are."""
     _check_marches(scheme)
     if T <= 0:  # a NaN T passes on to _grid, which names it
         raise ValueError("T must exceed t0 = 0")
-    ladder = sorted(((dt, *_grid(dt, T)) for dt in dts), key=lambda rung: -rung[2])
+    ladder = sorted((_grid(dt, T) for dt in dts), key=lambda rung: -rung[1])
     if len(ladder) < 3:
         raise ValueError("need >=3 dt values")
-    if len({dtf for _, _, dtf in ladder}) != len(ladder):
+    if len({dtf for _, dtf in ladder}) != len(ladder):
         raise ValueError("duplicate dt values")
     return ladder
 
 
-def _reference_errors(scheme, prob, given, steps, dt_list, T):
+def _reference_errors(scheme, prob, steps, dt_list):
     """(global error per dt, provenance) against one rk4_reference call at
     the row times of the first block (the starting rows) and of the final
     block (the reference values) of every run."""
@@ -143,19 +145,19 @@ def _reference_errors(scheme, prob, given, steps, dt_list, T):
     times = _row_times(scheme.float_tables[2], n, np.array(dt_list)[:, None]).ravel()
     values, n_ref = rk4_reference(prob, times.max(), times=times)
     starts, refs = values.reshape((2, len(dt_list), scheme.s, prob.dim))  # per block, dt, row
-    runs = run_integration(scheme, prob, given, T, starts)
+    runs = run_integration(scheme, prob, list(zip(steps, dt_list)), starts)
     global_err = [np.abs(blocks[-1] - ref).max(axis=1) for blocks, ref in zip(runs, refs)]
     return global_err, f"rk4 (doubling-verified, n_steps up to {n_ref})"
 
 
-def _exact_errors(scheme, prob, given, steps, dt_list, T):
+def _exact_errors(scheme, prob, steps, dt_list):
     """(global error, LTE, run-max error), each per dt, from one exact table
     of blocks 0..N of every run: block 0 gives the starting rows, block N
     the reference, and every block the run-max and the defect."""
     table = _exact_table(scheme, prob, steps, dt_list)
     U = table[3]
     first = np.cumsum(steps) - steps + np.arange(len(steps))  # block 0 of each run
-    runs = run_integration(scheme, prob, given, T, U[first])
+    runs = run_integration(scheme, prob, list(zip(steps, dt_list)), U[first])
     err = np.abs(np.concatenate(runs) - U).max(axis=2)  # per block and component
     lte = _defect(scheme, prob, steps, table)
     return list(err[first + steps]), list(lte), list(np.maximum.reduceat(err, first))
@@ -168,12 +170,12 @@ def converge(scheme: Scheme, prob: Problem, dts=STANDARD_DTS, T: float = 1.0) ->
     dts that each reach T > 0 in whole steps, checked before any work.  One
     oracle call gives the starting rows and the references of every run.
     """
-    given, steps, dt_list = map(list, zip(*_check_ladder(scheme, dts, T)))
+    steps, dt_list = map(list, zip(*_check_ladder(scheme, dts, T)))
     if prob.exact is None:
-        global_err, reference = _reference_errors(scheme, prob, given, steps, dt_list, T)
+        global_err, reference = _reference_errors(scheme, prob, steps, dt_list)
         lte = runmax = None
     else:
-        global_err, lte, runmax = _exact_errors(scheme, prob, given, steps, dt_list, T)
+        global_err, lte, runmax = _exact_errors(scheme, prob, steps, dt_list)
         reference = "exact"
     x = np.log2(dt_list)
     dx = x - x.mean() if len(set(x.tolist())) > 1 else None

@@ -19,8 +19,10 @@ time from one _row_times call, and keeps every block of every run, bit for
 bit those of separate runs; integrate is march on one lane.  _grid decides
 each run's step count, at most 2^53, on dt and T exactly as given (dt = 1/3
 reaches T = 5/3), and is the one check of a step size (bootstrap and step
-ask it with T = 0); exact.to_double renders each value to double once,
-naming a value that leaves double range.
+ask it with T = 0); march's core, _march, takes the decided (step count,
+dt) pairs, so a caller that has decided them already (a convergence study,
+integrate) asks _grid once per run.  exact.to_double renders each value to
+double once, naming a value that leaves double range.
 
 Also here: the built-in test problems P1-P4, starting-value bootstrap, a
 doubling-verified RK4 reference oracle, and the local truncation error, the
@@ -40,8 +42,9 @@ marches agree, each doubling adding one march, so a convergence study takes
 its reference values and its starting rows (passed to march as `starts`)
 from one verified sweep.  Its state and stages are lists of Python floats,
 bit for bit the values of the numpy formula: every problem without a closed
-form here, P2 among them, has dim <= 2, where a step on floats is about x1.4
+form here, P2 among them, has dim <= 2, where a step on floats is about x1.3
 faster than one on arrays; from about dim 8 up, arrays win (see _rk4_step).
+P2's rhs, too, evaluates one state on Python floats and a batch on arrays.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ def make_problem(name, rhs, exact, u0) -> Problem:
 
 
 def _vdp(t, u):
-    return np.array([u[1], 0.1 * (1.0 - u[0] * u[0]) * u[1] - u[0]])
+    # One state on Python floats, a batch on arrays: the same IEEE operations.
+    x, y = u.tolist() if u.ndim == 1 else u
+    return np.array([y, 0.1 * (1.0 - x * x) * y - x])
 
 
 _PROBLEMS = {  # name: (rhs, exact or None, u0)
@@ -130,8 +135,8 @@ def _advance(scheme: Scheme, prob: Problem, n, V: np.ndarray, dt, times) -> np.n
     """The block step A V + dt B F(V) for blocks n, in one rhs call at their row times.
 
     V is one block (s, dim), or a stack (L, s, dim) with dt one double or
-    of shape (L, 1, 1); times holds the row times of every row of the stack,
-    in its order, as _row_times gives them.  n numbers the blocks, one int
+    of shape (L, 1, 1) or V's; times holds the row times of every row of
+    the stack, in its order, as _row_times gives them.  n numbers the blocks, one int
     for the whole stack or one per block, and a finiteness error names the
     step n + 1 of the first block that fails.  Here alone the rhs shape is
     checked, and the combine made in place: dt B F, then + A V.
@@ -175,12 +180,12 @@ def _rk4_step(rhs, t, u, h):
     operations of numpy's elementwise ones, in the same order, so the
     result is bit for bit that of the same formula on arrays.  At dim <= 2
     the 13 ufunc calls that formula makes on tiny arrays cost more than
-    these loops.  Measured per step on x86-64, Python 3.11, numpy 2.4: P2
-    takes 8.6 us on floats against 12.2 us on arrays, and with rhs = -u
-    floats are x1.4-1.6 faster at dim 1, x1.4 at dim 2 and x1.1-1.2 at
-    dim 4, even at dim 8 (x0.92-0.99) and slower above it, x0.65-0.72 at
-    dim 16 and x0.25 at dim 64.  Every problem the RK4 path serves has
-    dim <= 2.
+    these loops.  Measured per step on x86-64, Python 3.11, numpy 2.4,
+    with the same rhs on both sides: P2 takes 6.7-7.4 us on floats against
+    8.6-9.3 us on arrays (x1.25-1.3), and with rhs = -u floats are x1.4
+    faster at dim 1, x1.2 at dim 2 and x1.1 at dim 4, slower from dim 8
+    (x0.9), x0.65 at dim 16 and x0.25 at dim 64.  Every problem the RK4
+    path serves has dim <= 2.
     """
     shape, h2 = (len(u),), h / 2
     k1 = rhs(t, np.array(u))
@@ -266,8 +271,8 @@ def integrate(scheme: Scheme, prob: Problem, dt, T) -> np.ndarray:
     at n * dt.  dt and T may be floats or exact Fractions; _grid decides N on
     them as given, and stepping uses dt's double.  The scheme must march."""
     _check_marches(scheme)
-    _grid(dt, T)  # T is checked before the bootstrap works
-    return march(scheme, prob, [dt], T, [bootstrap(scheme, prob, dt)])[0]
+    grid = _grid(dt, T)  # T is checked before the bootstrap works
+    return _march(scheme, prob, [grid], [bootstrap(scheme, prob, dt)])[0]
 
 
 _CHUNK = 512  # time levels whose row times march computes in one _row_times call
@@ -290,7 +295,15 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     memory touched is about sum N blocks.
     """
     _check_marches(scheme)
-    grids = [_grid(dt, T) for dt in dts]
+    return _march(scheme, prob, [_grid(dt, T) for dt in dts], starts)
+
+
+def _march(scheme: Scheme, prob: Problem, grids, starts) -> list[np.ndarray]:
+    """march on runs whose grids are decided: one (step count, dt as a double)
+    pair per run, as _grid gives them, for a scheme that marches.  The start
+    rows are checked here.  Each lane's step size is broadcast to its rows
+    and components once, so a level's combine multiplies same-shape arrays.
+    """
     V = np.array(starts, dtype=float)
     need = (len(grids), scheme.s, prob.dim)
     if V.shape != need:
@@ -301,17 +314,18 @@ def march(scheme: Scheme, prob: Problem, dts, T: float, starts) -> list[np.ndarr
     steps = [grids[i][0] for i in order]
     blocks = np.empty((len(steps), max(steps, default=0) + 1, *need[1:]))
     blocks[:, 0] = V = V[order]
-    lane_dt = np.array([grids[i][1] for i in order])[:, None, None]
+    lane_dt = np.array([grids[i][1] for i in order])
+    h = np.repeat(lane_dt, scheme.s * prob.dim).reshape(V.shape)  # each lane's dt, every entry
     c_in, live, levels = scheme.float_tables[2], len(steps), blocks.shape[1] - 1
     for k in range(levels):
         if steps[live - 1] == k:  # runs that reach T here leave the stack
             live = sum(n > k for n in steps)
-            V, lane_dt = V[:live], lane_dt[:live]
+            V, h = V[:live], h[:live]
         if k % _CHUNK == 0:  # row times of the next levels, every live lane
             ks = np.arange(k, min(k + _CHUNK, levels))[:, None, None]
-            times = _row_times(c_in, ks, lane_dt[:, :, 0])
+            times = _row_times(c_in, ks, lane_dt[:live, None])
         level_times = times[k % _CHUNK, :live].ravel()
-        blocks[:live, k + 1] = V = _advance(scheme, prob, k, V, lane_dt, level_times)
+        blocks[:live, k + 1] = V = _advance(scheme, prob, k, V, h, level_times)
     return [blocks[lane, : n + 1] for (n, _), lane in zip(grids, np.argsort(order))]
 
 

@@ -576,3 +576,28 @@ def test_emit_plot_script_renders_if_gnuplot_present(tmp_path):
     emit_plot_script(rep, path)
     subprocess.run(["gnuplot", "conv.gp"], cwd=tmp_path, check=True, timeout=60)
     assert (tmp_path / "conv.png").stat().st_size > 0
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_a_study_decides_each_step_count_once(monkeypatch, name):
+    # _check_ladder decides every step count and the march takes them as
+    # they are; harness imports _grid by name, so both bindings count.
+    calls, grid = [], integrate._grid
+
+    def counted(dt, T):
+        calls.append(dt)
+        return grid(dt, T)
+
+    monkeypatch.setattr(integrate, "_grid", counted)
+    monkeypatch.setattr(harness, "_grid", counted)
+    sch, prob = builtin("S3A"), problem(name)
+    converge(sch, prob)
+    assert calls == list(STANDARD_DTS)
+    # march, called directly, still decides and checks its own dts.
+    dts = STANDARD_DTS[:3]
+    starts = np.zeros((3, sch.s, prob.dim))
+    calls.clear()
+    assert len(march(sch, prob, dts, 1.0, starts)) == 3
+    assert calls == list(dts)
+    with pytest.raises(ValueError, match="T not reachable with this dt"):
+        march(sch, prob, (0.125, 0.0625, 0.3), 1.0, starts)

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from _oracle_util import rk4_step, rk4_sweep
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockstep import integrate as integrate_module
 from blockstep.derive import assemble
@@ -730,6 +732,37 @@ def test_the_rk4_rhs_gets_a_fresh_float_array_at_a_float_time():
     assert all(type(t) is float for t, _ in calls)
     assert all(u.dtype == np.float64 and u.shape == (2,) for _, u in calls)
     assert len({id(u) for _, u in calls}) == len(calls)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE), min_size=1, max_size=4), st.data())
+def test_p2_rhs_is_the_same_at_a_scalar_time_and_in_a_batch(states, data):
+    # One state goes through Python floats, a batch through arrays, and
+    # before either the state went through numpy scalars: the same IEEE
+    # operations in the same order, so the same bits, overflow included.
+    rhs = problem("P2").rhs
+    ts = np.array([t for t, _, _ in states])
+    U = np.array([[x for _, x, _ in states], [y for _, _, y in states]])
+    j = data.draw(st.integers(0, len(states) - 1))
+    u = U[:, j].copy()
+    with np.errstate(all="ignore"):
+        batch = rhs(ts, U)
+        old = np.array([u[1], 0.1 * (1.0 - u[0] * u[0]) * u[1] - u[0]])
+    one = rhs(float(ts[j]), u)
+    assert one.dtype == np.float64 and one.shape == (2,)
+    assert one.tobytes() == batch[:, j].tobytes() == old.tobytes()
+
+
+def test_an_overflowing_p2_state_fails_the_reference_without_a_warning():
+    # At a scalar t P2's rhs works on Python floats, which overflow to inf
+    # without numpy's scalar RuntimeWarning (an error under this suite's
+    # warning filter): the march turns non-finite and rk4_reference says so.
+    prob = dataclasses.replace(problem("P2"), u0=np.array([1e200, 1e200]))
+    with pytest.raises(ValueError, match="non-finite RK4 reference"):
+        rk4_reference(prob, 1.0, [1.0])
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
