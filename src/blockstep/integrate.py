@@ -41,10 +41,13 @@ about 512 steps per unit of time, and doubles it until two successive
 marches agree, each doubling adding one march, so a convergence study takes
 its reference values and its starting rows (passed to march as `starts`)
 from one verified sweep.  Its state and stages are lists of Python floats,
-bit for bit the values of the numpy formula: every problem without a closed
-form here, P2 among them, has dim <= 2, where a step on floats is about x1.3
-faster than one on arrays; from about dim 8 up, arrays win (see _rk4_step).
-P2's rhs, too, evaluates one state on Python floats and a batch on arrays.
+bit for bit the values of the numpy formula.  P2's rhs carries its formula
+on floats (on_floats), which the march calls directly: about 3 us a step,
+against 7 us through the adapter every other rhs takes (a fresh array per
+stage, the shape check, tolist()) and 9 us on arrays.  Every problem
+without a closed form here has dim <= 2, where the adapter, too, beats
+arrays (x1.3 at dim 2); from about dim 8 up, arrays win (see _rk4_step).
+P2's rhs evaluates one state on Python floats and a batch on arrays.
 """
 
 from __future__ import annotations
@@ -98,10 +101,18 @@ def make_problem(name, rhs, exact, u0) -> Problem:
     return Problem(name=name, rhs=rhs, exact=exact, u0=u0)
 
 
+def _vdp_on_floats(t, u):
+    # P2's formula, once: on a list [x, y] of floats, or on the rows of a batch.
+    x, y = u
+    return [y, 0.1 * (1.0 - x * x) * y - x]
+
+
 def _vdp(t, u):
     # One state on Python floats, a batch on arrays: the same IEEE operations.
-    x, y = u.tolist() if u.ndim == 1 else u
-    return np.array([y, 0.1 * (1.0 - x * x) * y - x])
+    return np.array(_vdp_on_floats(t, u.tolist() if u.ndim == 1 else u))
+
+
+_vdp.on_floats = _vdp_on_floats  # the RK4 march's form of P2 (see _on_floats)
 
 
 _PROBLEMS = {  # name: (rhs, exact or None, u0)
@@ -171,44 +182,53 @@ def step(scheme: Scheme, prob: Problem, V: np.ndarray, dt, n: int = 0) -> np.nda
     return _advance(scheme, prob, n, V, dt, _row_times(scheme.float_tables[2], n, dt))
 
 
-def _rk4_step(rhs, t, u, h):
+def _rk4_step(f, t, u, h):
     """One classical RK4 step of size h from (t, u), u and the result lists of floats.
 
-    The rhs gets a fresh (dim,) float64 array at the Python float t, and its
-    result must have shape (dim,).  The stage arguments x + h/2 k and the
-    combine x + h/6 (k1 + 2 k2 + 2 k3 + k4) make, per component, the IEEE
-    operations of numpy's elementwise ones, in the same order, so the
-    result is bit for bit that of the same formula on arrays.  At dim <= 2
-    the 13 ufunc calls that formula makes on tiny arrays cost more than
-    these loops.  Measured per step on x86-64, Python 3.11, numpy 2.4,
-    with the same rhs on both sides: P2 takes 6.7-7.4 us on floats against
-    8.6-9.3 us on arrays (x1.25-1.3), and with rhs = -u floats are x1.4
-    faster at dim 1, x1.2 at dim 2 and x1.1 at dim 4, slower from dim 8
-    (x0.9), x0.65 at dim 16 and x0.25 at dim 64.  Every problem the RK4
-    path serves has dim <= 2.
+    f maps (t, list of floats) to a list of floats (see _on_floats).  The
+    stage arguments x + h/2 k and the combine x + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    make, per component, the IEEE operations of numpy's elementwise ones, in
+    the same order, so the result is bit for bit that of the same formula on
+    arrays.  Measured per step on x86-64, Python 3.11, numpy 2.4 (timeit,
+    best of 7): P2 takes 2.9-3.0 us on its own float form, 7.0-7.3 us
+    through the adapter (a wrapper of its rhs) and 8.8-9.3 us as the same
+    formula on arrays.  A make_problem rhs takes the adapter, about 1-3%
+    slower per step than the inline conversion it replaced (P1 6.8-7.1
+    against 6.7-6.8 us, rhs = -u at dim 1 5.4-5.6 against 5.3-5.5 us); with
+    rhs = -u that path beats arrays x1.4 at dim 1, x1.3 at dim 2 and x1.15
+    at dim 4, and loses from dim 8 (x0.9, x0.67 at dim 16).  Every problem
+    the RK4 path serves has dim <= 2.
     """
-    shape, h2 = (len(u),), h / 2
-    k1 = rhs(t, np.array(u))
-    if k1.shape != shape:
-        raise _rk4_shape_error(k1, shape)
-    k1 = k1.tolist()
-    k2 = rhs(t + h2, np.array([x + h2 * k for x, k in zip(u, k1)]))
-    if k2.shape != shape:
-        raise _rk4_shape_error(k2, shape)
-    k2 = k2.tolist()
-    k3 = rhs(t + h2, np.array([x + h2 * k for x, k in zip(u, k2)]))
-    if k3.shape != shape:
-        raise _rk4_shape_error(k3, shape)
-    k3 = k3.tolist()
-    k4 = rhs(t + h, np.array([x + h * k for x, k in zip(u, k3)]))
-    if k4.shape != shape:
-        raise _rk4_shape_error(k4, shape)
+    h2 = h / 2
+    k1 = f(t, u)
+    k2 = f(t + h2, [x + h2 * k for x, k in zip(u, k1)])
+    k3 = f(t + h2, [x + h2 * k for x, k in zip(u, k2)])
+    k4 = f(t + h, [x + h * k for x, k in zip(u, k3)])
     h6 = h / 6
-    return [x + h6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4.tolist())]
+    return [x + h6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
 
 
-def _rk4_shape_error(k, shape):
-    return ValueError(f"rhs breaks the contract at a scalar t: {k.shape} for {shape}")
+def _on_floats(rhs, dim):
+    """rhs as a function of (t, list of floats) to a list of floats, for the RK4 march.
+
+    A built-in rhs carries that form as its on_floats attribute.  Any other
+    rhs takes the adapter, a wrapper of a built-in one included (one made by
+    functools.wraps has a copied on_floats, and __wrapped__), so the wrapper
+    sees every call.  The adapter gives the rhs a fresh (dim,) float64 array
+    at the Python float t and checks that its result has shape (dim,).
+    """
+    own = getattr(rhs, "on_floats", None)
+    if own is not None and not hasattr(rhs, "__wrapped__"):
+        return own
+    shape = (dim,)
+
+    def adapted(t, u):
+        k = rhs(t, np.array(u))
+        if k.shape != shape:
+            raise ValueError(f"rhs breaks the contract at a scalar t: {k.shape} for {shape}")
+        return k.tolist()
+
+    return adapted
 
 
 def bootstrap(scheme: Scheme, prob: Problem, dt, n_sub: int = 1000) -> np.ndarray:
@@ -339,15 +359,16 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     def grid(k):
         return T if k == n else k * h
 
+    f = _on_floats(prob.rhs, prob.dim)
     out = np.empty((len(times), prob.dim))
     u = prob.u0.tolist()
     k = 0
     for t, i in sorted(zip(times, range(len(times)))):
         while k < n and grid(k + 1) <= t:
-            u = _rk4_step(prob.rhs, k * h, u, h)
+            u = _rk4_step(f, k * h, u, h)
             k += 1
         tk = grid(k)
-        out[i] = u if t == tk else _rk4_step(prob.rhs, tk, u, t - tk)
+        out[i] = u if t == tk else _rk4_step(f, tk, u, t - tk)
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -740,9 +741,10 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE), min_size=1, max_size=4), st.data())
 def test_p2_rhs_is_the_same_at_a_scalar_time_and_in_a_batch(states, data):
-    # One state goes through Python floats, a batch through arrays, and
-    # before either the state went through numpy scalars: the same IEEE
-    # operations in the same order, so the same bits, overflow included.
+    # One state goes through Python floats, a batch through arrays, the RK4
+    # march's float form takes and gives a list, and before any of them the
+    # state went through numpy scalars: the same IEEE operations in the same
+    # order, so the same bits, overflow included.
     rhs = problem("P2").rhs
     ts = np.array([t for t, _, _ in states])
     U = np.array([[x for _, x, _ in states], [y for _, _, y in states]])
@@ -752,8 +754,21 @@ def test_p2_rhs_is_the_same_at_a_scalar_time_and_in_a_batch(states, data):
         batch = rhs(ts, U)
         old = np.array([u[1], 0.1 * (1.0 - u[0] * u[0]) * u[1] - u[0]])
     one = rhs(float(ts[j]), u)
+    floats = rhs.on_floats(float(ts[j]), u.tolist())
     assert one.dtype == np.float64 and one.shape == (2,)
-    assert one.tobytes() == batch[:, j].tobytes() == old.tobytes()
+    assert type(floats) is list and [type(k) for k in floats] == [float, float]
+    assert one.tobytes() == batch[:, j].tobytes() == old.tobytes() == np.array(floats).tobytes()
+
+
+def test_p2_float_form_overflows_to_inf_without_a_warning():
+    # Python floats overflow to inf silently, where numpy scalars warn (an
+    # error under this suite's warning filter); the batch gives the same bits.
+    rhs = problem("P2").rhs
+    floats = rhs.on_floats(0.5, [1e200, 1e200])
+    assert floats == [1e200, -math.inf]
+    with np.errstate(all="ignore"):
+        batch = rhs(np.array([0.5]), np.array([[1e200], [1e200]]))
+    assert np.array(floats).tobytes() == batch[:, 0].tobytes()
 
 
 def test_an_overflowing_p2_state_fails_the_reference_without_a_warning():
@@ -763,6 +778,40 @@ def test_an_overflowing_p2_state_fails_the_reference_without_a_warning():
     prob = dataclasses.replace(problem("P2"), u0=np.array([1e200, 1e200]))
     with pytest.raises(ValueError, match="non-finite RK4 reference"):
         rk4_reference(prob, 1.0, [1.0])
+
+
+@pytest.mark.parametrize("wrap", ["plain", "functools.wraps"])
+def test_a_wrapped_p2_rhs_sees_every_rk4_evaluation(monkeypatch, wrap):
+    # The float form lives on the built-in rhs, not on the Problem, so a
+    # dataclasses.replace copy with a counting rhs (bench/spans.py's
+    # count_rhs and the tests' recorders make such copies) takes the
+    # adapter: four calls per RK4 step, each on a fresh (2,) float64 array
+    # at a Python float t, and the same bytes as the built-in's float form.
+    base = problem("P2")
+    calls = []
+
+    def counting(t, u):
+        calls.append((t, u))
+        return base.rhs(t, u)
+
+    if wrap == "functools.wraps":  # which copies on_floats onto the wrapper
+        counting = functools.wraps(base.rhs)(counting)
+    prob = dataclasses.replace(base, rhs=counting)
+    times = [0.3, 0.5, 1.0]  # one partial step per march, two grid times
+    want, n = rk4_reference(base, 1.0, times)
+    steps, one_step = [], integrate_module._rk4_step  # every RK4 step, grid and partial
+    monkeypatch.setattr(
+        integrate_module, "_rk4_step", lambda f, t, u, h: steps.append(h) or one_step(f, t, u, h)
+    )
+    got, m = rk4_reference(prob, 1.0, times)
+    assert m == n == 512
+    assert len(steps) == n + 1 + 2 * n + 1
+    assert len(calls) == 4 * len(steps)
+    assert all(type(t) is float for t, _ in calls)
+    assert all(type(u) is np.ndarray and u.dtype == np.float64 for _, u in calls)
+    assert all(u.shape == (2,) for _, u in calls)
+    assert len({id(u) for _, u in calls}) == len(calls)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
