@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import factorial, isfinite
 from operator import mul
@@ -209,19 +210,25 @@ def spectral_radius(scheme: Scheme, z: complex) -> float:
     return float(np.abs(np.linalg.eigvals(A + complex(z) * B)).max())
 
 
+_EIGVALS_POINTS = 4096  # the most grid points stability_scan gives one eigvals call
+
+
 def stability_scan(scheme, re_range, im_range, grid_n):
     """Spectral radius of Q(z) on a grid_n x grid_n grid of z values.
 
     Returns (re_vals, im_vals, rho) with rho[i][j] the radius at
-    z = re_vals[j] + 1j * im_vals[i], one batched eigvals call per computed
-    row.  A and B are real, so rho(conj z) = rho(z): if
-    im_range[0] == -im_range[1], row i < grid_n // 2 copies row
-    grid_n - 1 - i, which is rho at -im_vals[grid_n - 1 - i] (linspace is not
-    exactly antisymmetric), within 1e-12 * max(1, rho) of rho at im_vals[i].
-    A bound that is not finite, or a span hi - lo that overflows, is a
-    ValueError, and so is a box on which Q(z) overflows (the entries of
-    Q are affine in Re z and Im z, so its four corners decide that) or,
-    after the scan, on which a radius is not finite.
+    z = re_vals[j] + 1j * im_vals[i].  The computed rows are solved in
+    row-major batches of at most _EIGVALS_POINTS grid points, one eigvals
+    call each; a batch may start mid-row, so memory beyond the rho grid is
+    bounded whatever grid_n is, and LAPACK still solves each Q(z) on its
+    own, so rho does not depend on the batching.  A and B are real, so
+    rho(conj z) = rho(z): if im_range[0] == -im_range[1], row i < grid_n // 2
+    copies row grid_n - 1 - i, which is rho at -im_vals[grid_n - 1 - i]
+    (linspace is not exactly antisymmetric), within 1e-12 * max(1, rho) of
+    rho at im_vals[i].  A bound that is not finite, or a span hi - lo that
+    overflows, is a ValueError, and so is a box on which Q(z) overflows (the
+    entries of Q are affine in Re z and Im z, so its four corners decide
+    that) or, after the scan, on which a radius is not finite.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -238,9 +245,20 @@ def stability_scan(scheme, re_range, im_range, grid_n):
             raise ValueError(f"A + z B overflows double precision on the box {box}")
     rho = np.empty((grid_n, grid_n))
     half = grid_n // 2 if im_range[0] == -im_range[1] else 0
-    for i in range(half, grid_n):
-        Q = A + (re_vals + 1j * im_vals[i])[:, None, None] * B
-        rho[i] = np.abs(np.linalg.eigvals(Q)).max(axis=1)
+    # Q(z) is built as z B + A on complex copies of the flattened tables, the
+    # IEEE operations of A + z B in one outer product, and the largest modulus
+    # is taken across the s columns: both avoid numpy's slow loops over short
+    # trailing axes, and neither changes a bit of rho.
+    s = len(A)
+    A, B = A.astype(complex).ravel(), B.astype(complex).ravel()
+    flat = rho.reshape(-1)
+    for start in range(half * grid_n, flat.size, _EIGVALS_POINTS):
+        stop = min(start + _EIGVALS_POINTS, flat.size)
+        i, j = np.divmod(np.arange(start, stop), grid_n)
+        Q = np.multiply.outer(re_vals[j] + 1j * im_vals[i], B)
+        Q += A
+        radii = np.abs(np.linalg.eigvals(Q.reshape(-1, s, s)))
+        flat[start:stop] = reduce(np.maximum, radii.T)
     rho[:half] = rho[::-1][:half]
     if not np.isfinite(rho).all():
         raise ValueError(f"spectral radius of A + z B is not finite on the box {box}")

@@ -224,8 +224,9 @@ def _on_floats(rhs, dim):
 
     def adapted(t, u):
         k = rhs(t, np.array(u))
-        if k.shape != shape:
-            raise ValueError(f"rhs breaks the contract at a scalar t: {k.shape} for {shape}")
+        got = getattr(k, "shape", "a non-array")
+        if got != shape:
+            raise ValueError(f"rhs breaks the contract at a scalar t: {got} for {shape}")
         return k.tolist()
 
     return adapted

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from blockstep import analysis as analysis_module
 from blockstep.analysis import (
     residual_table,
     residual_vector,
@@ -343,8 +344,14 @@ def _row_oracle(sch, re_vals, y):
 @pytest.mark.parametrize("name", STABILITY_SCHEMES)
 @pytest.mark.parametrize(
     "re_range, h, n",
-    [((-3.0, 1.0), 3.0, 9), ((-2.5, 0.25), 1.5, 8), ((-2.0, 0.5), 2.0, 41), ((-1.0, 0.0), 0.5, 2)],
-    ids=["odd", "even", "h2-n41", "n2"],
+    [
+        ((-3.0, 1.0), 3.0, 9),
+        ((-2.5, 0.25), 1.5, 8),
+        ((-2.0, 0.5), 2.0, 41),
+        ((-1.0, 0.0), 0.5, 2),
+        ((-3.0, 1.0), 3.0, 101),  # 51 computed rows, two eigvals calls
+    ],
+    ids=["odd", "even", "h2-n41", "n2", "n101"],
 )
 def test_stability_scan_mirrors_a_box_symmetric_about_the_real_axis(name, re_range, h, n):
     # rho(conj z) = rho(z) for real A and B; the lower rows are copies.
@@ -361,12 +368,50 @@ def test_stability_scan_mirrors_a_box_symmetric_about_the_real_axis(name, re_ran
             assert abs(rho[i, j] - want) <= 1e-12 * max(1.0, want), (i, j)
 
 
-@pytest.mark.parametrize("name", STABILITY_SCHEMES)
-def test_stability_scan_computes_each_row_of_an_asymmetric_box(name):
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, 9) for name in STABILITY_SCHEMES] + [(name, 101) for name in STABILITY_SCHEMES],
+    ids=[*STABILITY_SCHEMES, *(f"{name}-n101" for name in STABILITY_SCHEMES)],
+)
+def test_stability_scan_computes_each_row_of_an_asymmetric_box(name, n):
+    # At n = 101 the 10,201 points take three eigvals calls, two of them
+    # ending mid-row.
     sch = _scheme(name)
-    re_vals, im_vals, rho = stability_scan(sch, (-2.0, 0.5), (-1.0, 3.0), 9)
+    re_vals, im_vals, rho = stability_scan(sch, (-2.0, 0.5), (-1.0, 3.0), n)
     for i, y in enumerate(im_vals):
         assert np.array_equal(rho[i], _row_oracle(sch, re_vals, y))
+
+
+@pytest.mark.parametrize(
+    "im_range, n, cap",
+    [((-3.0, 3.0), 301, None), ((-1.0, 3.0), 9, 7)],
+    ids=["S2-n301", "rows-longer-than-the-cap"],
+)
+def test_stability_scan_bounds_the_points_of_each_eigvals_call(monkeypatch, im_range, n, cap):
+    # Each call gets at most the cap's matrices, and the calls together get
+    # Q(z) at each computed point once, in row-major order.
+    if cap is not None:
+        monkeypatch.setattr(analysis_module, "_EIGVALS_POINTS", cap)
+    cap = analysis_module._EIGVALS_POINTS
+    stacks = []
+    eigvals = np.linalg.eigvals
+
+    def recording(Q):
+        stacks.append(Q)
+        return eigvals(Q)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    sch = builtin("S2")
+    re_vals, im_vals, rho = stability_scan(sch, (-2.0, 0.5), im_range, n)
+    monkeypatch.undo()
+    half = n // 2 if im_range[0] == -im_range[1] else 0
+    assert len(stacks) == -(-(n - half) * n // cap) > 1
+    assert all(len(Q) <= cap for Q in stacks)
+    A, B, _ = sch.float_tables
+    want = [A + (re_vals + 1j * y)[:, None, None] * B for y in im_vals[half:]]
+    assert np.array_equal(np.concatenate(stacks), np.concatenate(want))
+    for i in range(half, n):
+        assert np.array_equal(rho[i], _row_oracle(sch, re_vals, im_vals[i]))
 
 
 @pytest.mark.parametrize("name", STABILITY_SCHEMES)

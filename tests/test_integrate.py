@@ -830,6 +830,17 @@ def test_rk4_rejects_an_rhs_result_of_the_wrong_shape_at_a_scalar_time(shape):
         bootstrap(builtin("S3A"), prob, 0.125)
 
 
+def test_rk4_names_a_non_array_rhs_result_at_a_scalar_time():
+    # A list has no shape: the adapter names it as make_problem's probe does,
+    # not with an AttributeError.
+    prob = make_problem("listed", lambda t, u: -u if np.ndim(t) else [-u[0]], None, [1.0])
+    message = re.escape("rhs breaks the contract at a scalar t: a non-array for (1,)")
+    with pytest.raises(ValueError, match=message):
+        rk4_reference(prob, 1.0, [1.0])
+    with pytest.raises(ValueError, match=message):
+        bootstrap(builtin("S3A"), prob, 0.125)
+
+
 def test_rk4_reference_checks_every_requested_time(monkeypatch):
     # u' = (t - 1/2)^5 is pure quadrature: RK4's error on each step is
     # proportional to the fourth derivative 120 (t - 1/2) at the step's
