@@ -41,17 +41,20 @@ about 512 steps per unit of time, and doubles it until two successive
 marches agree, each doubling adding one march, so a convergence study takes
 its reference values and its starting rows (passed to march as `starts`)
 from one verified sweep.  Its state and stages are lists of Python floats,
-bit for bit the values of the numpy formula.  P2's rhs carries its formula
-on floats (on_floats), which the march calls directly: about 3 us a step,
-against 7 us through the adapter every other rhs takes (a fresh array per
-stage, the shape check, tolist()) and 9 us on arrays.  Every problem
-without a closed form here has dim <= 2, where the adapter, too, beats
-arrays (x1.3 at dim 2); from about dim 8 up, arrays win (see _rk4_step).
+stepped by one RK4 step unrolled over the components, generated once per
+dim (_rk4_step_for), bit for bit the values of the numpy formula.  P2's rhs
+carries its formula on floats (on_floats), which the march calls directly:
+about 1.1 us a step, against 5.3 us through the adapter every other rhs
+takes (a fresh array per stage, the shape check, tolist()) and 9 us on
+arrays.  Every problem without a closed form here has dim <= 2, where the
+adapter, too, beats arrays (about x2 at dim 2); they break even near dim
+16, and above it arrays win (see _rk4_step_for).
 P2's rhs evaluates one state on Python floats and a batch on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,30 +185,47 @@ def step(scheme: Scheme, prob: Problem, V: np.ndarray, dt, n: int = 0) -> np.nda
     return _advance(scheme, prob, n, V, dt, _row_times(scheme.float_tables[2], n, dt))
 
 
-def _rk4_step(f, t, u, h):
-    """One classical RK4 step of size h from (t, u), u and the result lists of floats.
+@functools.cache
+def _rk4_step_for(dim: int):
+    """One classical RK4 step for states of dim components, generated once per dim.
 
-    f maps (t, list of floats) to a list of floats (see _on_floats).  The
-    stage arguments x + h/2 k and the combine x + h/6 (k1 + 2 k2 + 2 k3 + k4)
-    make, per component, the IEEE operations of numpy's elementwise ones, in
-    the same order, so the result is bit for bit that of the same formula on
-    arrays.  Measured per step on x86-64, Python 3.11, numpy 2.4 (timeit,
-    best of 7): P2 takes 2.9-3.0 us on its own float form, 7.0-7.3 us
-    through the adapter (a wrapper of its rhs) and 8.8-9.3 us as the same
-    formula on arrays.  A make_problem rhs takes the adapter, about 1-3%
-    slower per step than the inline conversion it replaced (P1 6.8-7.1
-    against 6.7-6.8 us, rhs = -u at dim 1 5.4-5.6 against 5.3-5.5 us); with
-    rhs = -u that path beats arrays x1.4 at dim 1, x1.3 at dim 2 and x1.15
-    at dim 4, and loses from dim 8 (x0.9, x0.67 at dim 16).  Every problem
-    the RK4 path serves has dim <= 2.
+    The step maps (f, t, u, h) to the state after one step of size h from
+    (t, u), u and the result lists of floats, where f maps (t, list of
+    floats) to a list of floats (see _on_floats).  The source below writes
+    the formula unrolled over named components, x0, x1, ... and stages a0,
+    b0, c0, d0, ...: the stage arguments x + h/2 k and the combine
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4) make, per component, the IEEE
+    operations of numpy's elementwise ones, in the same order, so the
+    result is bit for bit that of the same formula on arrays.  Unpacking
+    u and each stage by name raises ValueError for a list of another
+    length.
+
+    Measured per step on x86-64, Python 3.11, numpy 2.4 (timeit, best of
+    7): P2 takes 1.1-1.2 us on its own float form, 5.2-5.7 us through the
+    adapter (a wrapper of its rhs) and 8.9-9.4 us as the same formula on
+    arrays; P1 takes 5.2-5.5 us through the adapter, 9.8-10.6 us on arrays.
+    With rhs = -u the adapter path beats arrays x2.0-2.2 at dim 1 and 2,
+    x1.5-1.7 at dim 4 and x1.3 at dim 8, breaks even at dim 16 and loses
+    above it (x0.75 at dim 24, x0.4 at dim 64).  Generating the step takes
+    0.2-0.7 ms up to dim 16 and 2.4 ms at dim 64, once per process.  Every
+    problem the RK4 path serves has dim <= 2.
     """
+    def row(form):  # form once per component, with # standing for its index
+        return ", ".join(form.replace("#", str(i)) for i in range(dim))
+
+    source = f"""def rk4_step(f, t, u, h):
+    [{row("x#")}] = u
     h2 = h / 2
-    k1 = f(t, u)
-    k2 = f(t + h2, [x + h2 * k for x, k in zip(u, k1)])
-    k3 = f(t + h2, [x + h2 * k for x, k in zip(u, k2)])
-    k4 = f(t + h, [x + h * k for x, k in zip(u, k3)])
+    [{row("a#")}] = f(t, u)
+    [{row("b#")}] = f(t + h2, [{row("x# + h2 * a#")}])
+    [{row("c#")}] = f(t + h2, [{row("x# + h2 * b#")}])
+    [{row("d#")}] = f(t + h, [{row("x# + h * c#")}])
     h6 = h / 6
-    return [x + h6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
+    return [{row("x# + h6 * (a# + 2 * b# + 2 * c# + d#)")}]
+"""
+    namespace = {}
+    exec(source, namespace)
+    return namespace["rk4_step"]
 
 
 def _on_floats(rhs, dim):
@@ -360,16 +380,16 @@ def _rk4_sweep(prob: Problem, T: float, n: int, times) -> np.ndarray:
     def grid(k):
         return T if k == n else k * h
 
-    f = _on_floats(prob.rhs, prob.dim)
+    f, rk4_step = _on_floats(prob.rhs, prob.dim), _rk4_step_for(prob.dim)
     out = np.empty((len(times), prob.dim))
     u = prob.u0.tolist()
     k = 0
     for t, i in sorted(zip(times, range(len(times)))):
         while k < n and grid(k + 1) <= t:
-            u = _rk4_step(f, k * h, u, h)
+            u = rk4_step(f, k * h, u, h)
             k += 1
         tk = grid(k)
-        out[i] = u if t == tk else _rk4_step(f, tk, u, t - tk)
+        out[i] = u if t == tk else rk4_step(f, tk, u, t - tk)
     return out
 
 

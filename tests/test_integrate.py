@@ -799,10 +799,13 @@ def test_a_wrapped_p2_rhs_sees_every_rk4_evaluation(monkeypatch, wrap):
     prob = dataclasses.replace(base, rhs=counting)
     times = [0.3, 0.5, 1.0]  # one partial step per march, two grid times
     want, n = rk4_reference(base, 1.0, times)
-    steps, one_step = [], integrate_module._rk4_step  # every RK4 step, grid and partial
-    monkeypatch.setattr(
-        integrate_module, "_rk4_step", lambda f, t, u, h: steps.append(h) or one_step(f, t, u, h)
-    )
+    steps, step_for = [], integrate_module._rk4_step_for  # every RK4 step, grid and partial
+
+    def counting_step_for(dim):
+        one_step = step_for(dim)
+        return lambda f, t, u, h: steps.append(h) or one_step(f, t, u, h)
+
+    monkeypatch.setattr(integrate_module, "_rk4_step_for", counting_step_for)
     got, m = rk4_reference(prob, 1.0, times)
     assert m == n == 512
     assert len(steps) == n + 1 + 2 * n + 1
@@ -812,6 +815,62 @@ def test_a_wrapped_p2_rhs_sees_every_rk4_evaluation(monkeypatch, wrap):
     assert all(u.shape == (2,) for _, u in calls)
     assert len({id(u) for _, u in calls}) == len(calls)
     assert got.tobytes() == want.tobytes()
+
+
+_SMALL = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.data())
+def test_the_generated_rk4_step_is_the_array_formula_bit_for_bit(dim, data):
+    # The unrolled step of each dim against the oracle's numpy step: a
+    # make_problem rhs through the adapter at any dim, and P2's own float
+    # form at dim 2, for any t, state and step, the short partial steps
+    # that serve an off-grid time included.
+    t = data.draw(_SMALL)
+    u = data.draw(st.lists(_SMALL, min_size=dim, max_size=dim))
+    h = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(1e-300, 1e-12)))
+    M = np.array(data.draw(st.lists(_SMALL, min_size=dim * dim, max_size=dim * dim)))
+    M = M.reshape(dim, dim)
+    prob = make_problem("mixed", lambda t, u: M @ u - np.sin(t) * u, None, u)
+    one_step = integrate_module._rk4_step_for(dim)
+    got = one_step(integrate_module._on_floats(prob.rhs, dim), t, u, h)
+    assert np.array(got).tobytes() == rk4_step(prob.rhs, t, np.array(u), h).tobytes()
+    vdp = problem("P2").rhs.on_floats
+    x = u[:2] if dim >= 2 else u * 2
+    got = integrate_module._rk4_step_for(2)(vdp, t, x, h)
+    assert np.array(got).tobytes() == rk4_step(vdp, t, np.array(x), h).tobytes()
+
+
+@pytest.mark.parametrize("name", ["P1", "linear3"])
+def test_rk4_reference_equals_the_array_march_and_generates_its_step_once(name):
+    # rk4_reference at dim 1 and dim 3 is the oracle's numpy march of the
+    # passing pair's finer step count, bit for bit; a second reference of
+    # the same dim reuses the step its first sweep generated.
+    prob = _linear3() if name == "linear3" else problem(name)
+    times = [0.61803, 0.0, 0.25, 1.0, 0.37]
+    values, n = rk4_reference(prob, 1.0, times)
+    assert values.tobytes() == rk4_sweep(prob, 1.0, 2 * n, times).tobytes()
+    generated = integrate_module._rk4_step_for.cache_info().misses
+    again, _ = rk4_reference(prob, 1.0, times)
+    assert integrate_module._rk4_step_for.cache_info().misses == generated
+    assert again.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("components", [1, 3])
+def test_rk4_rejects_a_float_form_of_the_wrong_length(components):
+    # A float form that returns another number of components than dim is
+    # refused by the step's unpacking; a zip over the state would drop the
+    # missing component, and the row would broadcast the survivor.
+    def rhs(t, u):
+        return -u
+
+    rhs.on_floats = lambda t, u: [-u[0]] * components
+    prob = make_problem("short", rhs, None, [1.0, 2.0])
+    with pytest.raises(ValueError, match="unpack"):
+        rk4_reference(prob, 1.0, [0.5, 1.0])
+    with pytest.raises(ValueError, match="unpack"):
+        bootstrap(builtin("S3A"), prob, 0.125)
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
